@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-checked test-clique-index bench-smoke bench ablation bench-accel bench-par bench-serve trace-smoke chaos-smoke lint lint-deep typecheck
+.PHONY: test test-checked test-clique-index bench-smoke bench ablation bench-accel bench-serve trace-smoke chaos-smoke lint lint-deep typecheck
 
 test:
 	$(PY) -m pytest -x -q
@@ -48,15 +48,6 @@ ablation:
 bench-accel:
 	timeout 900 env REPRO_BENCH_SCALE=0.1 PYTHONPATH=src \
 		python -m pytest benchmarks/bench_ablation_flow_reuse.py -q --benchmark-disable
-
-# Parallel scaling bench (repro.par): serial-vs-parallel bit-identity
-# asserted on every cell, wall times for workers 1/2/4 written to the
-# machine-readable benchmarks/out/BENCH_par.json.  The >= 2x @ 4
-# workers claim is asserted only on hosts with >= 4 CPUs; smaller
-# hosts get an explicit skip record in the JSON instead.
-bench-par:
-	timeout 900 env REPRO_BENCH_SCALE=0.1 PYTHONPATH=src \
-		python -m pytest benchmarks/bench_par_scaling.py -q --benchmark-disable
 
 # Query-serving bench (repro.serve): cold exact solve vs warm snapshot
 # vs restart-reload per Figure-8 cell, answers asserted bit-identical

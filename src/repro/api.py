@@ -111,7 +111,6 @@ def densest_subgraph(
     flow_engine: str = "ggt",
     *,
     strict: bool = True,
-    workers: Optional[int] = None,
     snapshot: Optional["Snapshot"] = None,
 ) -> DensestSubgraphResult:
     """Find the Ψ-densest subgraph of ``graph``.
@@ -142,14 +141,6 @@ def densest_subgraph(
         raises ``ValueError`` with a pointer at the fix.
         ``strict=False`` skips the gate and keeps the historical
         behaviour (an empty graph returns an empty result).
-    workers:
-        Process count for the parallel execution layer
-        (:mod:`repro.par`): the exact solvers fan independent
-        connected-component subproblems across forked workers, and the
-        h = 3/4 clique enumeration chunks its vertex ranges.  ``None``
-        defers to ``REPRO_WORKERS`` (default 0); values <= 1 run
-        serially.  Results are bit-identical to serial execution at any
-        worker count.
     snapshot:
         A precomputed :class:`repro.serve.Snapshot` of ``(graph, h)``:
         the call becomes a pure lookup over the stored breakpoint
@@ -226,14 +217,14 @@ def densest_subgraph(
         def clique_index() -> CliqueIndex | None:
             # built once per call, after method validation; every
             # index-aware solver below receives the same artifact
-            return CliqueIndex(graph, h, workers=workers) if h >= 3 else None
+            return CliqueIndex(graph, h) if h >= 3 else None
 
         dispatch = {
             "exact": lambda: exact_densest(
-                graph, h, flow_engine=flow_engine, index=clique_index(), workers=workers
+                graph, h, flow_engine=flow_engine, index=clique_index()
             ),
             "core-exact": lambda: core_exact_densest(
-                graph, h, flow_engine=flow_engine, index=clique_index(), workers=workers
+                graph, h, flow_engine=flow_engine, index=clique_index()
             ),
             "peel": lambda: peel_densest(graph, h, index=clique_index()),
             "inc-app": lambda: inc_app_densest(graph, h, index=clique_index()),

@@ -56,10 +56,6 @@ class CliqueIndex:
     use_numpy:
         Force the enumeration kernel (``None`` auto-selects); only
         meaningful when ``instances`` is omitted.
-    workers:
-        Worker processes for the h = 3/4 enumeration (``None`` defers
-        to ``REPRO_WORKERS``); the resulting index is byte-identical to
-        a serial build.
     """
 
     __slots__ = (
@@ -83,7 +79,6 @@ class CliqueIndex:
         h: int,
         instances: Optional[Sequence[tuple[Vertex, ...]]] = None,
         use_numpy: Optional[bool] = None,
-        workers: Optional[int] = None,
     ):
         self.h = h
         self.vertices: list[Vertex] = list(graph)
@@ -92,9 +87,7 @@ class CliqueIndex:
 
         with obs.span("cliques.index.build", h=h, n=len(self.vertices)) as sp:
             if instances is None:
-                self.inst: list[int] = kernels.clique_rows(
-                    graph, h, id_of, use_numpy, workers=workers
-                )
+                self.inst: list[int] = kernels.clique_rows(graph, h, id_of, use_numpy)
                 self.canonical = True
                 kernel = kernels.LAST_KERNEL
             else:
@@ -261,31 +254,6 @@ class CliqueIndex:
         if not size:
             return 0.0
         return self.count_within(vertex_set) / size
-
-    @classmethod
-    def from_rows(cls, graph: Graph, h: int, flat_rows: list) -> "CliqueIndex":
-        """Rebuild an index from already-canonical flat instance rows.
-
-        The parallel layer ships a component's subindex rows (internal
-        ids over the component's graph-iteration order) to a worker
-        process; this constructor re-materialises the index without any
-        enumeration, producing byte-identical ``inst``/incidence arrays
-        to the :meth:`subindex` the parent holds.  ``flat_rows`` must
-        already be canonical (ascending rows, lexicographic order) in
-        ``graph``'s id space.
-        """
-        idx = cls.__new__(cls)
-        idx.h = h
-        idx.vertices = list(graph)
-        idx._id_of = {v: i for i, v in enumerate(idx.vertices)}
-        idx.inst = list(flat_rows)
-        idx.canonical = True
-        idx.m = len(idx.inst) // h if h else 0
-        idx._build_incidence()
-        idx.alive = bytearray(b"\x01") * idx.m
-        idx.num_alive = idx.m
-        idx._np_rows = None
-        return idx
 
     def subindex(self, subgraph: Graph) -> "CliqueIndex":
         """The index restricted to an induced subgraph -- no re-enumeration.

@@ -86,107 +86,12 @@ def _best_subgraph_density(graph: Graph, vertices: set[Vertex], h: int, index=No
     return CliqueIndex(graph.subgraph(vertices), h).m / len(vertices)
 
 
-def ggt_component_walk(graph: Graph, h: int, index: Optional[CliqueIndex]) -> dict:
-    """One connected component's share of the Exact GGT walk.
-
-    Builds the component's α-parametric network and runs the discrete
-    Newton walk from α = 0 -- exactly what the whole-graph walk does to
-    this component's nodes, since flow never crosses components.  Shared
-    by the serial merge proof and the parallel workers
-    (:func:`repro.par.worker.exact_component`).  Returns ``{"cut",
-    "rho", "solves", "nodes"}``; a ``BudgetExceeded`` escapes with the
-    walk's incumbent attached.
-    """
-    if h == 2:
-        net = build_eds_parametric(graph)
-        density_of = lambda s: graph.subgraph(s).num_edges / len(s)
-    else:
-        net = build_cds_parametric(graph, h, index=index)
-        density_of = index.density_within
-    cut, rho, solves = net.max_density(density_of, low=0.0)
-    return {"cut": cut, "rho": rho, "solves": solves, "nodes": net.num_nodes}
-
-
-def _parallel_ggt_parts(
-    graph: Graph, h: int, index: Optional[CliqueIndex], workers: Optional[int]
-) -> Optional[dict]:
-    """Fan the GGT walk over connected components; ``None`` stays serial.
-
-    Returns ``{"parts": [(cut, ρ, solves, nodes)], "expiry": (site,
-    reason) | None, "incumbent": (cut, ρ)}`` -- the raw per-component
-    walk results plus the densest incumbent salvaged from any worker
-    whose budget expired.
-    """
-    from .. import par
-
-    if par.resolve_workers(workers) <= 1:
-        return None
-    comps = graph.connected_components()
-    if len(comps) <= 1:
-        return None
-    from ..cliques import kernels
-    from ..par import worker as par_worker
-
-    np = kernels.np
-    shared: dict = {}
-    payloads: list[dict] = []
-    for cid, cc in enumerate(comps):
-        sub = graph.subgraph(cc)
-        labels = list(sub)
-        id_of = {v: i for i, v in enumerate(labels)}
-        esrc: list[int] = []
-        edst: list[int] = []
-        for u in sub:
-            iu = id_of[u]
-            for v in sub.neighbors(u):
-                iv = id_of[v]
-                if iu < iv:
-                    esrc.append(iu)
-                    edst.append(iv)
-        fields: dict = {f"c{cid}.esrc": esrc, f"c{cid}.edst": edst}
-        if index is not None:
-            fields[f"c{cid}.rows"] = index.subindex(sub).inst
-        for key, val in fields.items():
-            shared[key] = np.asarray(val, dtype=np.int64) if np is not None else list(val)
-        payloads.append({"cid": cid, "labels": labels, "h": h})
-
-    outcomes = par.map_components(
-        par_worker.exact_component,
-        payloads,
-        workers=workers,
-        shared=shared,
-        surface="exact.components",
-    )
-    parts: list[tuple] = []
-    expiry: Optional[tuple[str, str]] = None
-    inc_cut: Optional[set[Vertex]] = None
-    inc_rho = 0.0
-    for outcome in outcomes:
-        if outcome["status"] != "ok":
-            info = outcome.get("degraded") or {}
-            if expiry is None:
-                expiry = (
-                    info.get("site") or "exact.flow",
-                    info.get("reason") or "worker budget expired",
-                )
-            inc = info.get("incumbent")
-            rho_i = info.get("density") or 0.0
-            if inc and (inc_cut is None or rho_i > inc_rho):
-                inc_cut, inc_rho = set(inc), rho_i
-            continue
-        out = outcome["result"]
-        cut = set(out["cut"]) if out["cut"] is not None else None
-        parts.append((cut, out["rho"], out["solves"], out["nodes"]))
-    return {"parts": parts, "expiry": expiry, "incumbent": (inc_cut, inc_rho)}
-
-
 def exact_densest(
     graph: Graph,
     h: int = 2,
     *,
     flow_engine: str = "ggt",
     index: Optional[CliqueIndex] = None,
-    workers: Optional[int] = None,
 ) -> DensestSubgraphResult:
     """Algorithm 1: exact CDS via parametric min cuts on the full graph.
 
@@ -249,7 +154,7 @@ def exact_densest(
     incumbent_source = "none"
     with obs.span("exact.flow", engine=flow_engine, h=h) as flow_sp:
         net = None
-        if flow_engine == "reuse":
+        if flow_engine != "rebuild":
             if h == 2:
                 net = build_eds_parametric(graph)
             else:
@@ -260,57 +165,16 @@ def exact_densest(
                 density_of = lambda s: graph.subgraph(s).num_edges / len(s)
             else:
                 density_of = index.density_within
-            par_res = _parallel_ggt_parts(graph, h, index, workers)
-            if par_res is not None:
-                # Merge the per-component walks into the whole-graph
-                # answer: flow never crosses components, so the graph's
-                # minimal min cut at the optimum is the union of the
-                # cuts of every component tied at the maximum density
-                # (exact-float ties -- equal rationals round identically).
-                iterations = 0
-                network_sizes = []
-                maxrho = 0.0
-                union: set[Vertex] = set()
-                for cut_c, rho_c, solves_c, nodes_c in par_res["parts"]:
-                    iterations += solves_c
-                    network_sizes.extend([nodes_c] * solves_c)
-                    if not cut_c:
-                        continue
-                    if rho_c > maxrho:
-                        maxrho = rho_c
-                        union = set(cut_c)
-                    elif rho_c == maxrho:
-                        union |= cut_c
-                cut = union if union else None
-                rho = density_of(cut) if cut else 0.0
-                if par_res["expiry"] is not None and guard.ACTIVE is not None:
-                    # re-raise the worker expiry in the parent budget so
-                    # callers see one canonical degradation, keeping the
-                    # densest incumbent from finished and expired walks
-                    site, reason = par_res["expiry"]
-                    guard.ACTIVE.adopt_expiry(site, reason)
-                    exc = guard.BudgetExceeded(site, reason, guard.ACTIVE)
-                    inc_cut, inc_rho = par_res["incumbent"]
-                    if cut is not None and (inc_cut is None or rho >= inc_rho):
-                        inc_cut, inc_rho = cut, rho
-                    exc.attach_incumbent(inc_cut, inc_rho)
-                    degraded = exc
-                    cut, rho = exc.incumbent, exc.incumbent_density
-            else:
-                if h == 2:
-                    net = build_eds_parametric(graph)
-                else:
-                    net = build_cds_parametric(graph, h, index=index)
-                try:
-                    cut, rho, iterations = net.max_density(density_of, low=0.0)
-                except guard.BudgetExceeded as exc:
-                    # degrade: the walk's best breakpoint incumbent is an
-                    # exact density of a real subgraph, just maybe not
-                    # the optimum
-                    degraded = exc
-                    cut, rho = exc.incumbent, exc.incumbent_density
-                    iterations = exc.budget.solves
-                network_sizes = [net.num_nodes] * iterations
+            try:
+                cut, rho, iterations = net.max_density(density_of, low=0.0)
+            except guard.BudgetExceeded as exc:
+                # degrade: the walk's best breakpoint incumbent is an
+                # exact density of a real subgraph, just maybe not
+                # the optimum
+                degraded = exc
+                cut, rho = exc.incumbent, exc.incumbent_density
+                iterations = exc.budget.solves
+            network_sizes = [net.num_nodes] * iterations
             if cut:
                 best, density = cut, rho  # ρ is the exact count/size ratio
                 incumbent_source = "walk"

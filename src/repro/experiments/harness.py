@@ -22,7 +22,7 @@ __all__ = [
 
 
 def timed(fn: Callable, *args, **kwargs) -> tuple[object, float]:
-    """Run ``fn`` and return ``(result, wall_seconds)``."""
+    """Run ``fn`` and return ``(result, elapsed_seconds)``."""
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
@@ -38,14 +38,6 @@ def profiled(fn: Callable, *args, **kwargs) -> tuple[object, float, dict]:
     counters) to their JSON artifacts.  Tracing is restored to its
     previous state afterwards, so profiled cells compose with plain
     :func:`timed` cells in one process.
-
-    Parallel runs (``workers > 1``) merge worker spans into the trace,
-    and those overlap in time: each span aggregate in the summary
-    therefore reports ``total_s`` (the summed *work* across processes)
-    **and** ``wall_s`` (the union of the span intervals on the shared
-    monotonic timeline).  Derive elapsed-time comparisons from
-    ``wall_s``; ``total_s`` under parallelism exceeds the returned
-    ``seconds`` by design.
     """
     was_enabled = obs.enabled()
     obs.enable(fresh=True)

@@ -132,12 +132,11 @@ class Budget:
         max_solves: Optional[int] = None,
         max_arcs: Optional[int] = None,
     ):
-        if deadline_s is not None and deadline_s < 0:
-            raise ValueError(f"deadline_s must be >= 0, got {deadline_s}")
-        if max_solves is not None and max_solves < 0:
-            raise ValueError(f"max_solves must be >= 0, got {max_solves}")
-        if max_arcs is not None and max_arcs < 0:
-            raise ValueError(f"max_arcs must be >= 0, got {max_arcs}")
+        limits = {"deadline_s": deadline_s, "max_solves": max_solves, "max_arcs": max_arcs}
+        for name, value in limits.items():
+            # ``not >=`` also rejects NaN, which no comparison would ever fire on
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if deadline_s is None and max_solves is None and max_arcs is None:
             raise ValueError("Budget needs at least one limit")
         self.deadline_s = deadline_s
@@ -203,59 +202,6 @@ class Budget:
         self.rounds += 1
         if time.monotonic() >= self._deadline_at:
             self._expire(site, f"deadline_s={self.deadline_s} elapsed")
-
-    def remaining_limits(self) -> Optional[dict]:
-        """The unspent portion of each limit, for a worker-process budget.
-
-        The parallel layer cannot share this object across processes, so
-        each worker installs its own :class:`Budget` built from what the
-        parent has left: remaining wall-clock (never negative), the
-        remaining solve allowance, and ``max_arcs`` unchanged (it bounds
-        single networks, not cumulative work).  Returns ``None`` when
-        the budget somehow has no finite limit left to propagate.
-        """
-        limits: dict = {}
-        if self.deadline_s is not None:
-            limits["deadline_s"] = max(0.0, self._deadline_at - time.monotonic())
-        if self.max_solves is not None:
-            limits["max_solves"] = max(0, self.max_solves - self.solves)
-        if self.max_arcs is not None:
-            limits["max_arcs"] = self.max_arcs
-        return limits or None
-
-    def absorb_child(self, solves: int, rounds: int = 0) -> None:
-        """Fold a worker budget's consumption into this budget's tallies.
-
-        Keeps the parent's post-mortem (:meth:`snapshot`) and its
-        ``max_solves`` accounting truthful under fan-out: work done in
-        workers counts against the parent exactly as if it ran inline.
-        Deliberately does *not* expire the parent -- expiry decisions
-        ride back as explicit degraded outcomes (:meth:`adopt_expiry`).
-        """
-        self.solves += solves
-        self.rounds += rounds
-
-    def adopt_expiry(self, site: str, reason: str) -> None:
-        """Mark this budget expired on behalf of a worker that expired.
-
-        A worker's :class:`BudgetExceeded` carries the worker-side
-        budget object, which the parent's solvers do not hold; the
-        parent adopts the expiry into *its* budget so the post-mortem in
-        ``stats["budget"]`` describes the request's budget and later
-        checkpoints re-raise immediately, same as a local expiry.
-        """
-        if self.expired is None:
-            self.expired = (site, reason)
-            if obs.ENABLED:
-                obs.event(
-                    GUARD_DEADLINE,
-                    site=site,
-                    reason=reason,
-                    elapsed_s=self.elapsed(),
-                    solves=self.solves,
-                    rounds=self.rounds,
-                )
-                obs.counter("guard.expired")
 
     def snapshot(self) -> dict:
         """Post-mortem dict for ``stats["budget"]`` of a degraded result."""

@@ -63,8 +63,6 @@ __all__ = [
     "span",
     "event",
     "counter",
-    "merge_child_records",
-    "detach_sink",
     "get_collector",
     "summary",
     "close",
@@ -83,22 +81,6 @@ FLOW_SOLVE = "flow.solve"
 #: Span-event modes counted as warm in the flow rollup (everything the
 #: warm-start repertoire covers; ``"cold"`` is the set_alpha reset).
 WARM_MODES = ("noop", "advance", "checkpoint", "retreat")
-
-
-def _union_length(intervals: list[tuple[float, float]]) -> float:
-    """Total length of the union of ``[start, end)`` intervals."""
-    total = 0.0
-    cur_start = cur_end = None
-    for start, end in sorted(intervals):
-        if cur_end is None or start > cur_end:
-            if cur_end is not None:
-                total += cur_end - cur_start  # type: ignore[operator]
-            cur_start, cur_end = start, end
-        elif end > cur_end:
-            cur_end = end
-    if cur_end is not None:
-        total += cur_end - cur_start  # type: ignore[operator]
-    return total
 
 
 class Collector:
@@ -162,18 +144,8 @@ class Collector:
         snapshot-cache rollup (hit/miss/load counts, evictions per
         tier, and the hit ratio ``(hits + loads) / lookups`` -- the
         serving layer's load metric; ``None`` before any lookup).
-
-        Each span aggregate carries both ``total_s`` -- the *work*, the
-        plain sum of durations -- and ``wall_s``, the length of the
-        union of the ``[t0_s, t0_s + dur_s)`` intervals.  Serial traces
-        never overlap, so the two coincide; when worker spans merged
-        from a parallel run overlap, ``total_s`` keeps summing the work
-        while ``wall_s`` reports elapsed time (the number a single
-        thread of execution would have shown).  Wall-clock derivations
-        (fig8, the bench tables) must read ``wall_s``.
         """
         spans: dict[str, dict] = {}
-        intervals: dict[str, list[tuple[float, float]]] = {}
         events: dict[str, int] = {}
         flow = {
             "solves": 0,
@@ -188,17 +160,9 @@ class Collector:
         }
         for rec in self.records:
             if rec["type"] == "span":
-                agg = spans.setdefault(
-                    rec["name"], {"count": 0, "total_s": 0.0, "wall_s": 0.0}
-                )
+                agg = spans.setdefault(rec["name"], {"count": 0, "total_s": 0.0})
                 agg["count"] += 1
                 agg["total_s"] += rec["dur_s"]
-                if "t0_s" in rec:
-                    intervals.setdefault(rec["name"], []).append(
-                        (rec["t0_s"], rec["t0_s"] + rec["dur_s"])
-                    )
-                else:  # legacy record without a start time: count as disjoint
-                    agg["wall_s"] += rec["dur_s"]
                 continue
             name = rec["name"]
             events[name] = events.get(name, 0) + 1
@@ -217,8 +181,6 @@ class Collector:
                 flow["bfs_passes"] += fields.get("bfs_passes", 0) or 0
                 flow["augments"] += fields.get("augments", 0) or 0
                 flow["seconds"] += fields.get("seconds", 0.0) or 0.0
-        for name, spans_of in intervals.items():
-            spans[name]["wall_s"] += _union_length(spans_of)
         counters = dict(self.counters)
         hits = counters.get("serve.hits", 0)
         misses = counters.get("serve.misses", 0)
@@ -383,21 +345,6 @@ def close() -> None:
         _meta_pending = False
 
 
-def detach_sink() -> None:
-    """Drop the JSONL sink without writing the summary trailer.
-
-    Called in forked worker processes (:mod:`repro.par`): the sink file
-    handle inherited from the parent must not receive writes from two
-    processes, so a worker detaches it before touching the collector.
-    The parent's handle is unaffected -- only this process's reference
-    is dropped, and the file itself stays open in the parent.
-    """
-    global _sink, _sink_owned, _meta_pending
-    _sink = None
-    _sink_owned = False
-    _meta_pending = False
-
-
 def get_collector() -> Collector:
     """The module's collector (a process-wide singleton)."""
     return _collector
@@ -431,31 +378,6 @@ def event(name: str, **fields) -> None:
 def counter(name: str, n: int = 1) -> None:
     """Increment a named counter (no-op unless enabled)."""
     if ENABLED:
-        _collector.inc(name, n)
-
-
-def merge_child_records(
-    records: list[dict], counters: dict[str, int], worker: int
-) -> None:
-    """Fold a worker process's trace into the parent collector.
-
-    Each record is re-stamped with a fresh parent ``seq`` (the schema
-    requires strictly increasing sequence numbers per stream) and tagged
-    with the originating ``worker`` id; counters accumulate into the
-    parent's.  Span ``t0_s`` values are ``perf_counter`` readings, which
-    on Linux is CLOCK_MONOTONIC -- system-wide, so parent and worker
-    timestamps share one timeline and :meth:`Collector.summary`'s
-    ``wall_s`` interval union is meaningful across them.  No-op unless
-    tracing is enabled.
-    """
-    if not ENABLED:
-        return
-    for rec in records:
-        merged = dict(rec)
-        merged["seq"] = _collector.next_seq()
-        merged["worker"] = worker
-        _collector.add(merged)
-    for name, n in counters.items():
         _collector.inc(name, n)
 
 

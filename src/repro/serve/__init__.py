@@ -29,6 +29,7 @@ fast path over the same artifact.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Optional, Sequence, Union
 
 from .. import env, guard, obs
@@ -83,7 +84,6 @@ def get_snapshot(
     graph: Graph,
     h: int = 2,
     *,
-    workers: Optional[int] = None,
     cache: Optional[ArtifactCache] = None,
 ) -> Snapshot:
     """The :class:`Snapshot` for ``(graph, h)`` via the cache tiers.
@@ -99,7 +99,7 @@ def get_snapshot(
         if budget is not None:
             budget.tick_round("serve.snapshot")
         target = cache if cache is not None else _default_cache()
-        return target.get(graph, h, workers=workers)
+        return target.get(graph, h)
 
 
 def batch_densest(
@@ -107,7 +107,6 @@ def batch_densest(
     h: int = 2,
     alphas: Optional[Sequence[Optional[float]]] = None,
     *,
-    workers: Optional[int] = None,
     deadline_s: Optional[float] = None,
     cache: Optional[ArtifactCache] = None,
 ) -> list[Union[DensestSubgraphResult, DensityAnswer]]:
@@ -116,9 +115,9 @@ def batch_densest(
     ``alphas`` is one request per entry: ``None`` asks for the densest
     subgraph, a float ``α`` for the minimal subgraph of Ψ-density >
     ``α``.  Omitted entirely, the batch is a single densest-subgraph
-    request.  The snapshot is resolved once (α-lookups then fan out
-    through :meth:`Snapshot.query_batch` when ``workers`` says so), so
-    ``n`` concurrent queries cost one precompute, not ``n``.
+    request.  The snapshot is resolved once, so ``n`` concurrent
+    queries cost one precompute, not ``n``.  Every ``α`` must be a
+    finite float >= 0 (``ValueError`` otherwise, before any work).
 
     ``deadline_s`` wraps the snapshot *build* in a
     :class:`repro.guard.Budget`.  If the build cannot finish, the batch
@@ -128,7 +127,12 @@ def batch_densest(
     ``stats["degraded"]`` (α-answers then report the fallback subgraph
     when its density clears ``α``, with no exact instance count).
     """
-    requests = [None] if alphas is None else list(alphas)
+    if alphas is None:
+        alphas = [None]
+    requests = [None if a is None else float(a) for a in alphas]
+    for a in requests:
+        if a is not None and (not isfinite(a) or a < 0.0):
+            raise ValueError(f"alpha must be a finite float >= 0, got {a!r}")
     with obs.span("serve.batch", h=h, requests=len(requests)):
         budget = guard.ACTIVE
         if budget is not None:
@@ -136,15 +140,13 @@ def batch_densest(
         try:
             if deadline_s is not None:
                 with guard.Budget(deadline_s=deadline_s):
-                    snap = get_snapshot(graph, h, workers=workers, cache=cache)
+                    snap = get_snapshot(graph, h, cache=cache)
             else:
-                snap = get_snapshot(graph, h, workers=workers, cache=cache)
+                snap = get_snapshot(graph, h, cache=cache)
         except guard.BudgetExceeded:
-            return _degraded_batch(graph, h, requests, workers, deadline_s)
-        qalphas = [float(a) for a in requests if a is not None]
-        answers = iter(snap.query_batch(qalphas, workers=workers))
+            return _degraded_batch(graph, h, requests, deadline_s)
         return [
-            snap.densest_subgraph() if req is None else next(answers)
+            snap.densest_subgraph() if req is None else snap.query_density(req)
             for req in requests
         ]
 
@@ -153,7 +155,6 @@ def _degraded_batch(
     graph: Graph,
     h: int,
     requests: list,
-    workers: Optional[int],
     deadline_s: Optional[float],
 ) -> list[Union[DensestSubgraphResult, DensityAnswer]]:
     """Budget-expired fallback: answer everything via the api's machinery.
@@ -167,9 +168,9 @@ def _degraded_batch(
 
     if deadline_s is not None:
         with guard.Budget(deadline_s=deadline_s):
-            base = api.densest_subgraph(graph, h, workers=workers)
+            base = api.densest_subgraph(graph, h)
     else:  # pragma: no cover - deadline_s is the only BudgetExceeded source
-        base = api.densest_subgraph(graph, h, workers=workers)
+        base = api.densest_subgraph(graph, h)
     degraded = {
         "degraded": True,
         "degraded_at": "serve.precompute",
@@ -188,11 +189,10 @@ def _degraded_batch(
             res.stats.update(degraded)
             out.append(res)
         else:
-            alpha = float(req)
-            feasible = base.density > alpha
+            feasible = base.density > req
             out.append(
                 DensityAnswer(
-                    alpha=alpha,
+                    alpha=req,
                     vertices=set(base.vertices) if feasible else set(),
                     density=base.density if feasible else 0.0,
                     count=0,

@@ -46,7 +46,6 @@ FAMILIES = {
     "det": "determinism",
     "cov": "obs-coverage",
     "env": "env-discipline",
-    "par": "par-safety",
 }
 
 _EXPECT_RE = re.compile(r"#\s*expect\[(?P<rule>[a-z-]+)\]")
@@ -177,26 +176,14 @@ def test_resolve_rules_rejects_unknown_ids():
         resolve_rules(ignore=["no-such-rule"])
 
 
-def test_registry_has_the_six_project_rules():
+def test_registry_has_the_five_project_rules():
     assert set(RULES) == {
         "jit-safety",
         "tier-parity",
         "determinism",
         "obs-coverage",
         "env-discipline",
-        "par-safety",
     }
-
-
-def test_par_fixture_flags_lambda_nested_global_and_env():
-    findings, _ = run_paths(
-        [str(FIXTURES / "par_bad")], select=["par-safety"]
-    )
-    messages = [f.message for f in findings]
-    assert any("lambda" in m for m in messages)
-    assert any("nested function" in m for m in messages)
-    assert any("WORKER_INIT_FUNCS" in m for m in messages)
-    assert any("repro.env registry" in m for m in messages)
 
 
 # --- CLI --------------------------------------------------------------

@@ -37,6 +37,16 @@ def random_graph(n, m, seed=0):
     return g
 
 
+def disjoint_copies(g, copies):
+    """``copies`` label-shifted copies of ``g`` (integer labels)."""
+    shift = max(g.vertices()) + 1
+    out = Graph()
+    for c in range(copies):
+        for u, v in g.edges():
+            out.add_edge(c * shift + u, c * shift + v)
+    return out
+
+
 def subgraph_density(g, vertices, h):
     if not vertices:
         return 0.0
@@ -66,7 +76,12 @@ class TestBudget:
             guard.Budget()
 
     @pytest.mark.parametrize(
-        "kwargs", [{"deadline_s": -1}, {"max_solves": -1}, {"max_arcs": -2}]
+        "kwargs",
+        [
+            {"deadline_s": -1}, {"max_solves": -1}, {"max_arcs": -2},
+            # NaN fails every comparison, so it would never expire
+            {"deadline_s": math.nan}, {"max_solves": math.nan}, {"max_arcs": math.nan},
+        ],
     )
     def test_rejects_negative_limits(self, kwargs):
         with pytest.raises(ValueError):
@@ -176,8 +191,17 @@ SOLVERS = {
     "exact-rebuild": lambda g, h: exact_densest(g, h, flow_engine="rebuild"),
     "exact-reuse": lambda g, h: exact_densest(g, h, flow_engine="reuse"),
     "core-exact": lambda g, h: core_exact_densest(g, h),
+    # pruning off keeps every copy of the blob located, so the budget
+    # expires across several components (see MULTI_COMPONENT)
+    "core-exact-unpruned": lambda g, h: core_exact_densest(
+        g, h, pruning1=False, pruning2=False
+    ),
     "peel": lambda g, h: peel_densest(g, h),
 }
+
+#: Solvers run on three disjoint copies of one random blob instead of
+#: the one-component default graph; every budget below degrades them.
+MULTI_COMPONENT = {"core-exact-unpruned"}
 
 BUDGETS = {
     "dead-deadline": {"deadline_s": 0.0},
@@ -195,7 +219,10 @@ class TestDegradationContract:
     def test_degraded_result_is_valid(self, solver_name, budget_name):
         if solver_name == "peel" and budget_name != "dead-deadline":
             pytest.skip("peel rounds only check the deadline")
-        g = random_graph(50, 220, seed=17)
+        if solver_name in MULTI_COMPONENT:
+            g = disjoint_copies(random_graph(12, 20, seed=10), 3)
+        else:
+            g = random_graph(50, 220, seed=17)
         h = 2
         clean = SOLVERS[solver_name](g, h)
         with guard.Budget(**BUDGETS[budget_name]):
@@ -204,10 +231,12 @@ class TestDegradationContract:
         assert res.vertices <= set(g.vertices())
         assert res.vertices
         assert res.density == pytest.approx(subgraph_density(g, res.vertices, h))
+        if solver_name in MULTI_COMPONENT:
+            assert res.stats.get("degraded") is True
         if res.stats.get("degraded"):
             lo = res.stats["density_lower_bound"]
             hi = res.stats["density_upper_bound"]
-            assert lo == pytest.approx(res.density)
+            assert lo == res.density
             assert lo <= clean.density <= hi + 1e-9
             assert res.stats["budget"]["expired"] is True
             assert res.stats["degraded_incumbent"] in (

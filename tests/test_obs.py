@@ -171,43 +171,6 @@ def test_summary_flow_rollup_consistent():
         assert key in summary["env"], key
 
 
-def test_summary_wall_is_interval_union_of_overlapping_worker_spans():
-    """Merged parallel spans overlap: total_s sums work, wall_s dedups.
-
-    Regression for the fig8/bench wall-clock derivation: before spans
-    carried ``t0_s``, a summary over merged worker traces double-counted
-    concurrent flow time, making parallel runs look *slower* than
-    serial.  ``wall_s`` must be the union length of the span intervals.
-    """
-    obs.enable(fresh=True)
-
-    def child(seq_t0: float) -> list[dict]:
-        return [{
-            "type": "span", "name": "core_exact.flow", "seq": 1, "depth": 0,
-            "parent": None, "t0_s": seq_t0, "dur_s": 2.0,
-        }]
-
-    obs.merge_child_records(child(100.0), {}, 0)
-    obs.merge_child_records(child(101.0), {}, 1)  # overlaps [101, 103)
-    obs.merge_child_records(child(200.0), {}, 0)  # disjoint [200, 202)
-    agg = obs.summary()["spans"]["core_exact.flow"]
-    obs.disable()
-    assert agg["count"] == 3
-    assert agg["total_s"] == pytest.approx(6.0)  # the summed work
-    assert agg["wall_s"] == pytest.approx(5.0)  # union: [100,103) + [200,202)
-
-
-def test_summary_wall_equals_total_on_serial_traces():
-    obs.enable(fresh=True)
-    with obs.span("solo"):
-        time.sleep(0.002)
-    with obs.span("solo"):
-        time.sleep(0.002)
-    agg = obs.summary()["spans"]["solo"]
-    obs.disable()
-    assert agg["wall_s"] == pytest.approx(agg["total_s"])
-
-
 @pytest.mark.parametrize("tier", accel.available_tiers())
 def test_counter_determinism_across_tiers(tier):
     """Work counters are tier-invariant: identical traversals, identical counts."""

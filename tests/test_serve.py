@@ -30,20 +30,13 @@ from pathlib import Path
 
 import pytest
 
-from repro import api, guard, obs, par, serve
+from repro import api, guard, obs, serve
 from repro.cliques.index import CliqueIndex
 from repro.flow.builders import build_cds_parametric, build_eds_parametric
 from repro.graph.graph import Graph
 from repro.serve import ArtifactCache, Snapshot, SnapshotStore
-from repro.serve.snapshot import bits_to_float, float_bits
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _shutdown_pools():
-    yield
-    par.shutdown()
 
 
 def _graph(seed: int) -> Graph:
@@ -145,21 +138,6 @@ def test_query_density_matches_cold_parametric_solves(seed):
             assert warm.density == 0.0
 
 
-@pytest.mark.parametrize("seed", (2, 9, 16))
-def test_query_batch_parallel_is_identical_to_serial(seed):
-    g, h = _graph(seed), _h(seed)
-    snap = Snapshot(g, h)
-    alphas = _midpoints(snap)
-    serial = [snap.query_density(a) for a in alphas]
-    for workers in (1, 2):
-        batch = snap.query_batch(alphas, workers=workers)
-        assert len(batch) == len(serial)
-        for got, want in zip(batch, serial):
-            assert got.vertices == want.vertices, (seed, h, workers, got.alpha)
-            assert got.density == want.density, (seed, h, workers, got.alpha)
-            assert got.count == want.count, (seed, h, workers, got.alpha)
-
-
 # --- the zero-flow-solve guarantee ------------------------------------
 
 
@@ -223,15 +201,17 @@ def test_query_density_rejects_bad_alphas():
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             snap.query_density(bad)
-    with pytest.raises(ValueError):
-        snap.query_batch([0.0, -2.0])
 
 
-def test_float_bits_roundtrip_preserves_order_and_value():
-    values = [0.0, 0.5, 1.0, 4.0 / 3.0, 17.25, 1e-9, 1e9]
-    assert [bits_to_float(float_bits(v)) for v in values] == values
-    bits = [float_bits(v) for v in sorted(values)]
-    assert bits == sorted(bits)  # non-negative doubles order as int64 bits
+@pytest.mark.parametrize("deadline_s", [None, 0.0])
+def test_batch_densest_rejects_bad_alphas_before_building(deadline_s):
+    # the deadline_s=0.0 leg would otherwise answer through the
+    # degraded fallback, which never looks at the alpha values
+    cache = ArtifactCache()
+    for alphas in ([0.0, -2.0], [float("nan")]):
+        with pytest.raises(ValueError, match="alpha"):
+            serve.batch_densest(_graph(0), 2, alphas, deadline_s=deadline_s, cache=cache)
+    assert cache.misses == 0
 
 
 # --- the api snapshot= gate -------------------------------------------
@@ -451,10 +431,6 @@ def test_snapshots_hold_without_numpy(tmp_path):
         "    loaded = cache.get(g, h)\n"
         "    assert loaded.loaded, seed\n"
         "    assert loaded.densest_subgraph().vertices == cold.vertices, seed\n"
-        "    batch = snap.query_batch([0.0, 0.25], workers=2)\n"
-        "    serial = [snap.query_density(a) for a in (0.0, 0.25)]\n"
-        "    assert [a.vertices for a in batch] == [a.vertices for a in serial]\n"
-        "from repro import par; par.shutdown()\n"
         "print('identical')\n"
     )
     env = dict(os.environ, REPRO_NO_NUMPY="1", PYTHONPATH="src")
