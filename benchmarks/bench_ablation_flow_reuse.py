@@ -40,7 +40,6 @@ import time
 from pathlib import Path
 
 from repro import accel, obs
-from repro.accel import vector
 from repro.cliques.enumeration import enumerate_cliques
 from repro.cliques.index import CliqueIndex
 from repro.cliques.kernels import have_numpy
@@ -430,164 +429,5 @@ def test_flow_reuse_ablation(benchmark, emit, bench_scale):
         )
 
     graph = load("Yeast", bench_scale)
-    result = benchmark(core_exact_densest, graph, 2, flow_engine="ggt")
-    assert result.density > 0.0
-
-
-# --- BFS dispatch probe: is NUMPY_BFS_MIN_ARCS tuned right? -----------
-
-#: The two largest small-suite surrogates: the only cells whose EDS
-#: networks get anywhere near the dispatch threshold at bench scale.
-BFS_PROBE_DATASETS = ("As-Caida", "Ca-HepTh")
-
-
-def test_bfs_dispatch_probe(benchmark, emit, bench_scale):
-    """Force each BFS implementation on warm GGT walks and compare.
-
-    :data:`repro.accel.vector.NUMPY_BFS_MIN_ARCS` was tuned on *cold*
-    saturating solves; the GGT walk is dominated by warm re-solves whose
-    level graphs die after a couple of BFS passes, where the vectorised
-    BFS's per-call numpy overhead is never amortised.  The dispatch is
-    now warmth-aware (:data:`~repro.accel.vector.NUMPY_BFS_MIN_ARCS_WARM`
-    keeps warm re-solves on the scalar BFS), so this probe doubles as
-    the regression gate: the shipped defaults must pick the scalar BFS
-    on every warm solve (asserted from the per-solve telemetry, not
-    timings) and must no longer lose to the forced-scalar leg.  The
-    probe times the full-graph EDS Newton walk three ways -- thresholds
-    as shipped, forced-scalar, forced-numpy -- on the numpy tier and
-    writes ``benchmarks/out/bfs_dispatch_note.txt``.
-    """
-    if not have_numpy():
-        import pytest
-
-        pytest.skip("numpy unavailable: there is no dispatch to probe")
-
-    default_cold = vector.NUMPY_BFS_MIN_ARCS
-    default_warm = vector.NUMPY_BFS_MIN_ARCS_WARM
-    # (cold threshold, warm threshold) per forced leg
-    forced = (
-        ("default", default_cold, default_warm),
-        ("scalar", 1 << 62, 1 << 62),  # thresholds unreachable: scalar always
-        ("numpy", 0, 0),  # thresholds zero: vectorised BFS always
-    )
-    rows = []
-    accel.select_tier("numpy")
-    try:
-        for name in BFS_PROBE_DATASETS:
-            graph = load(name, bench_scale)
-            density_of = lambda s: graph.subgraph(s).num_edges / len(s)
-
-            def run_walk():
-                net = build_eds_parametric(graph)
-                start = time.perf_counter()
-                net.max_density(density_of, low=0.0)
-                return time.perf_counter() - start, net
-
-            row = {"dataset": name}
-            for label, cold_threshold, warm_threshold in forced:
-                vector.NUMPY_BFS_MIN_ARCS = cold_threshold
-                vector.NUMPY_BFS_MIN_ARCS_WARM = warm_threshold
-                best = float("inf")
-                for _ in range(3):
-                    seconds, net = run_walk()
-                    best = min(best, seconds)
-                row[f"{label}_s"] = best
-                # traced run: per-solve records carry the BFS choice and
-                # the network size that drove it
-                obs.enable()
-                run_walk()
-                summary = obs.summary()
-                flow = summary["flow"]
-                if label == "default":
-                    # the regression gate: warmth-aware dispatch must
-                    # route every warm re-solve to the scalar BFS
-                    warm_events = [
-                        e["fields"]
-                        for e in obs.get_collector().events()
-                        if e["name"] == "flow.solve" and e["fields"]["mode"] != "cold"
-                    ]
-                    assert warm_events, "walk produced no warm re-solves"
-                    assert all(
-                        f.get("bfs_mode") == "scalar" for f in warm_events
-                    ), f"warm solve took the numpy BFS: {warm_events}"
-                obs.disable()
-                if label == "default":
-                    row["arcs"] = len(net.head)
-                    row["solves"] = flow["solves"]
-                    row["warm"] = flow["warm"]
-                    row["bfs_modes_default"] = dict(flow["bfs_modes"])
-            row["best_mode"] = min(
-                ("scalar", "numpy"), key=lambda m: row[f"{m}_s"]
-            )
-            default_modes = set(row["bfs_modes_default"])
-            row["default_uses"] = (
-                "mixed" if len(default_modes) > 1 else next(iter(default_modes))
-            )
-            row["mistuned"] = row["default_uses"] != row["best_mode"]
-            row["penalty"] = row["default_s"] / max(
-                row[f"{row['best_mode']}_s"], 1e-9
-            )
-            rows.append(row)
-    finally:
-        vector.NUMPY_BFS_MIN_ARCS = default_cold
-        vector.NUMPY_BFS_MIN_ARCS_WARM = default_warm
-        accel.select_tier(None)
-
-    emit(
-        "bfs_dispatch_probe",
-        [
-            {
-                k: (json.dumps(v) if isinstance(v, dict) else v)
-                for k, v in row.items()
-            }
-            for row in rows
-        ],
-        f"Dinic BFS dispatch probe (numpy tier, NUMPY_BFS_MIN_ARCS="
-        f"{default_cold}, warm threshold {default_warm}): forced scalar vs "
-        "forced numpy on warm GGT walks",
-    )
-
-    note_lines = [
-        "NUMPY_BFS_MIN_ARCS dispatch probe -- warm GGT walks, numpy tier",
-        f"bench_scale={bench_scale}  cold threshold={default_cold} arcs, "
-        f"warm threshold={'inf' if default_warm > 1 << 40 else default_warm} "
-        f"(len(head) incl. reverse arcs)",
-        "",
-    ]
-    for row in rows:
-        note_lines += [
-            f"{row['dataset']}: arcs={row['arcs']} solves={row['solves']} "
-            f"(warm {row['warm']})",
-            f"  default -> {row['default_uses']} BFS: {row['default_s'] * 1e3:.2f} ms",
-            f"  forced scalar: {row['scalar_s'] * 1e3:.2f} ms | "
-            f"forced numpy: {row['numpy_s'] * 1e3:.2f} ms",
-            f"  best: {row['best_mode']}"
-            + (
-                f" -- default mis-tuned, paying {row['penalty']:.2f}x"
-                if row["mistuned"]
-                else " -- default agrees"
-            ),
-            "",
-        ]
-    mistuned = [r["dataset"] for r in rows if r["mistuned"]]
-    note_lines.append(
-        "Verdict: threshold mis-tuned for warm GGT solves on "
-        + (", ".join(mistuned) if mistuned else "none of the probed cells")
-        + ".  The dispatch is warmth-aware (NUMPY_BFS_MIN_ARCS_WARM keeps"
-    )
-    note_lines.append(
-        "warm re-solves on the scalar BFS, asserted above from the"
-        " per-solve telemetry); a future autotuner can learn a real"
-        " per-network crossover from the flow.solve events instead."
-    )
-    # the historical mis-tuning must stay fixed: defaults pick the winner
-    assert not mistuned, f"warm dispatch regressed on {mistuned}"
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "bfs_dispatch_note.txt").write_text(
-        "\n".join(note_lines) + "\n", encoding="utf-8"
-    )
-    print("\n[written to benchmarks/out/bfs_dispatch_note.txt]")
-
-    graph = load(BFS_PROBE_DATASETS[-1], bench_scale)
     result = benchmark(core_exact_densest, graph, 2, flow_engine="ggt")
     assert result.density > 0.0

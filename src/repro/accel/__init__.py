@@ -7,22 +7,27 @@ instead of branching locally.  Three tiers, fastest first:
 
 * **numba** -- the loops from :mod:`repro.accel.kernels`, compiled to
   native code with ``numba.njit``.  Selected automatically when numba
-  is importable; the wrappers convert the engines' plain-list arc
-  arrays to numpy arrays per call (O(E) each way, far below the solve
-  work they bracket) and write residual capacities back, so the
-  surrounding machinery (warm starts, checkpoints, cut extraction)
-  never sees an array type change.
-* **numpy** -- :mod:`repro.accel.vector`: the vectorised phases
-  (Dinic's arc-parallel BFS) plus the pure loops for everything
-  sequential.  Selected when numpy is importable but numba is not.
+  is importable.  Parametric networks hold numpy arrays whenever numpy
+  is importable, so the wrappers pass them straight through (only the
+  list-backed :class:`~repro.flow.network.FlowNetwork` is converted);
+  each runs on a private copy of the residuals and writes them back on
+  success.
+* **numpy** -- :mod:`repro.accel.vector`: Dinic with every phase planned
+  in numpy from one size crossover (the reference DFS then walks only
+  the arcs of shortest augmenting paths), the GGT advance as an array
+  expression, and the pure loops for everything sequential.  Selected
+  when numpy is importable but numba is not.
 * **python** -- :mod:`repro.accel.pure`: dependency-free reference
-  implementations.  Always available.
+  implementations.  Always available; handed memoryviews of numpy
+  arrays, which the loops index as fast as lists and write through.
 
 Every tier produces bit-identical results -- residual floats included
 -- because the higher tiers are literal translations of the pure loops
-(same traversal order, same IEEE-double operation order); the dispatch
-property suite (``tests/test_accel_dispatch.py``) asserts it on the
-random network/graph matrices.
+(same traversal order, same IEEE-double operation order) or, for the
+numpy Dinic, run the pure DFS itself on a subset of arcs it provably
+never pushes flow outside of; the dispatch property suite
+(``tests/test_accel_dispatch.py``) asserts it on the random
+network/graph matrices.
 
 **Selection** happens once at import:
 
@@ -114,15 +119,21 @@ def _jitted_kernels() -> dict:
     return _JITTED
 
 
-# --- numba-tier wrappers: list <-> array conversion at the boundary ---
+# --- tier wrappers: numpy arrays pass straight through to the numba
+# --- kernels and reach the pure loops as memoryviews
 
 
 def _i8(x):
-    return np.asarray(x, dtype=np.int64)
+    return x if isinstance(x, np.ndarray) else np.asarray(x, dtype=np.int64)
 
 
 def _f8(x):
-    return np.asarray(x, dtype=np.float64)
+    return x if isinstance(x, np.ndarray) else np.asarray(x, dtype=np.float64)
+
+
+def _write_back(cap, cap_a) -> None:
+    """Copy a kernel's private residual array into the caller's ``cap``."""
+    cap[:] = cap_a if isinstance(cap, np.ndarray) else cap_a.tolist()
 
 
 def _wrap_max_flow(kfn):
@@ -131,7 +142,7 @@ def _wrap_max_flow(kfn):
         total, work1, work2 = kfn(
             source, sink, _i8(head), cap_a, _i8(adj_start), _i8(adj_arcs)
         )
-        cap[:] = cap_a.tolist()
+        _write_back(cap, cap_a)
         return float(total), int(work1), int(work2)
 
     return run
@@ -145,8 +156,20 @@ def _wrap_ggt_retreat(kfn):
             _i8(head), cap_a, _f8(base_cap), _i8(adj_start), _i8(adj_arcs),
             _i8(alpha_arcs), _f8(alpha_coeff), num_nodes, source, alpha,
         )
-        cap[:] = cap_a.tolist()
+        _write_back(cap, cap_a)
         return int(clamped), int(drain_paths)
+
+    return run
+
+
+def _on_views(fn, offsets=None):
+    """A pure loop that sees memoryviews of numpy-backed arc arrays
+    (``offsets``: the position of its CSR offsets argument, if any)."""
+    if np is None:
+        return fn
+
+    def run(*args):
+        return vector.on_views(fn, args, offsets)
 
     return run
 
@@ -242,18 +265,18 @@ def _build_registry(tier: str) -> None:
     # ``(label, fn, transactional)``; the terminal entry is always the
     # pure tier (fn=None for heap_peel: the caller's reference loop).
     chains: dict = {
-        "dinic": [("python", pure.dinic_max_flow, False)],
-        "push_relabel": [("python", pure.push_relabel_max_flow, False)],
-        "ggt_retreat": [("python", pure.ggt_retreat, False)],
-        # O(#alpha-arcs) of simple float work: the list<->array
-        # conversion a jitted version would need costs more than the
-        # loop, so the advance stays interpreter-side on every tier.
-        "ggt_advance": [("python", pure.ggt_advance, False)],
+        "dinic": [("python", _on_views(pure.dinic_max_flow, 4), False)],
+        "push_relabel": [("python", _on_views(pure.push_relabel_max_flow, 4), False)],
+        "ggt_retreat": [("python", _on_views(pure.ggt_retreat, 3), False)],
+        "ggt_advance": [("python", _on_views(pure.ggt_advance), False)],
         "bucket_peel": [("python", pure.bucket_peel, False)],
         "heap_peel": [("python", None, False)],
     }
     if tier in ("numpy", "numba"):
         chains["dinic"].insert(0, ("numpy", vector.dinic_max_flow, False))
+        # O(#alpha-arcs) of float work as one array expression on both
+        # array tiers; its single write makes it transactional
+        chains["ggt_advance"].insert(0, ("numpy", vector.ggt_advance, True))
     if tier == "numba":
         kerns = _jitted_kernels() if NUMBA_JITTED else _kernels.__dict__
         label = "numba" if NUMBA_JITTED else "numba-interp"
@@ -333,7 +356,9 @@ def failover_log() -> list:
 
 
 def _snapshot(obj):
-    return bytes(obj) if isinstance(obj, bytearray) else list(obj)
+    if isinstance(obj, bytearray):
+        return bytes(obj)
+    return obj.copy()  # a list or a numpy array
 
 
 def _demote(name: str, exc: BaseException) -> None:
@@ -408,26 +433,16 @@ last_solve: dict = {}
 
 
 def _bfs_mode() -> str:
-    """Which BFS the current dinic implementation last used."""
-    tier = KERNEL_TIERS["dinic"]
-    if tier == "numpy":
+    """``"numpy"`` when the last Dinic call planned its phases in numpy,
+    ``"scalar"`` when a scalar loop (pure or compiled) ran them."""
+    if KERNEL_TIERS["dinic"] == "numpy":
         return vector.LAST_BFS_MODE
-    if tier == "python":
-        return "scalar"
-    return "kernel"  # numba / numba-interp: the compiled scalar BFS
+    return "scalar"
 
 
-def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs, warm=False):
-    """Dinic max flow over flat arc arrays (mutates ``cap`` in place).
-
-    ``warm`` hints that the network already carries a near-maximum flow
-    (a warm-started parametric re-solve): the numpy tier then keeps the
-    scalar BFS, whose early exit beats the arc-parallel passes on the
-    1-3 short level builds a warm solve needs (see
-    ``benchmarks/out/bfs_dispatch_note.txt``).
-    """
+def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
+    """Dinic max flow over flat arc arrays (mutates ``cap`` in place)."""
     global last_solve
-    vector.SOLVE_IS_WARM = warm
     args = (source, sink, head, cap, adj_start, adj_arcs)
     if not obs.ENABLED:
         total, _, _ = _dispatch("dinic", args, (3,))

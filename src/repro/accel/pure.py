@@ -2,8 +2,10 @@
 
 Every kernel in the registry (:mod:`repro.accel`) has its reference
 implementation here, written over the flat arc / incidence arrays as
-plain Python lists.  The higher tiers (:mod:`repro.accel.vector`,
-:mod:`repro.accel.kernels`) are literal translations of these loops --
+plain Python lists.  The higher tiers are literal translations of these
+loops (:mod:`repro.accel.kernels`, and the array-expression GGT advance
+in :mod:`repro.accel.vector`) or reuse them (the numpy Dinic runs
+:func:`dinic_blocking_flow` on each phase's shortest-path arcs) --
 same traversal order, same float-operation order, same EPS discipline
 -- so residual capacities, flow values, cuts, peel orders and densities
 are *bit-identical* across tiers (the dispatch property suite pins
@@ -45,7 +47,67 @@ def dinic_levels(head, cap, adj_start, adj_arcs, n, source, sink):
     return level
 
 
-def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs, levels_fn=None):
+def dinic_blocking_flow(source, sink, head, cap, adj_start, adj_arcs, level, total):
+    """One Dinic phase's blocking flow: iterative DFS over ``level``.
+
+    Pushes augmenting paths along arcs with residual above EPS that go
+    from level d to level d + 1, pruning dead ends (``level`` is
+    mutated), until the source has no admissible arc left.  ``total``
+    is the running flow value, added to once per augmenting path so
+    that its float sum is the same however the phases are driven.
+    Returns ``(total, augments)``.
+
+    Shared by both scalar-looping tiers: :func:`dinic_max_flow` runs it
+    on the whole network, the numpy tier's planner
+    (:mod:`repro.accel.vector`) on the compacted arcs of the phase's
+    shortest augmenting paths.
+    """
+    n = len(adj_start) - 1
+    augments = 0
+    it = adj_start[:n]  # per-node cursor into adj_arcs
+    path: list[int] = []  # arcs from source down to the frontier
+    u = source
+    while True:
+        if u == sink:
+            pushed = cap[path[0]]
+            for arc in path:
+                if cap[arc] < pushed:
+                    pushed = cap[arc]
+            for arc in path:
+                cap[arc] -= pushed
+                cap[arc ^ 1] += pushed
+            total += pushed
+            augments += 1
+            # retreat to just before the first saturated arc
+            for i, arc in enumerate(path):
+                if cap[arc] <= EPS:
+                    u = head[arc ^ 1]  # tail of the saturated arc
+                    del path[i:]
+                    break
+            continue
+        advanced = False
+        end = adj_start[u + 1]
+        while it[u] < end:
+            arc = adj_arcs[it[u]]
+            v = head[arc]
+            if cap[arc] > EPS and level[v] == level[u] + 1:
+                path.append(arc)
+                u = v
+                advanced = True
+                break
+            it[u] += 1
+        if advanced:
+            continue
+        if u == source:
+            return total, augments  # blocking flow complete for this phase
+        # dead end: prune the node from this phase and retreat
+        level[u] = -1
+        arc = path.pop()
+        u = head[arc ^ 1]
+        it[u] += 1
+
+
+def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
     """Dinic over the flat arc arrays; returns ``(total, bfs_passes,
     augments)``.
 
@@ -55,69 +117,20 @@ def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs, levels_fn=None)
     (:mod:`repro.obs`), identical across accel tiers because every tier
     executes the same traversal.  The :mod:`repro.accel` dispatcher
     strips them; engine callers still see a plain float.
-
-    ``levels_fn`` lets the numpy tier swap in its vectorised BFS while
-    sharing this blocking-flow DFS (level *values* at the nodes the DFS
-    can reach are identical either way, and dead-end probes into extra
-    labelled nodes push no flow, so the augmenting-path sequence -- and
-    every residual float -- is the same).
     """
-    if levels_fn is None:
-        levels_fn = dinic_levels
     n = len(adj_start) - 1
     total = 0.0
     bfs_passes = 0
     augments = 0
-
     while True:
-        # --- BFS: build the level graph ------------------------------
-        level = levels_fn(head, cap, adj_start, adj_arcs, n, source, sink)
+        level = dinic_levels(head, cap, adj_start, adj_arcs, n, source, sink)
         bfs_passes += 1
         if level[sink] < 0:
             return total, bfs_passes, augments
-
-        # --- iterative DFS: push a blocking flow ----------------------
-        it = adj_start[:n]  # per-node cursor into adj_arcs
-        path: list[int] = []  # arcs from source down to the frontier
-        u = source
-        while True:
-            if u == sink:
-                pushed = cap[path[0]]
-                for arc in path:
-                    if cap[arc] < pushed:
-                        pushed = cap[arc]
-                for arc in path:
-                    cap[arc] -= pushed
-                    cap[arc ^ 1] += pushed
-                total += pushed
-                augments += 1
-                # retreat to just before the first saturated arc
-                for i, arc in enumerate(path):
-                    if cap[arc] <= EPS:
-                        u = head[arc ^ 1]  # tail of the saturated arc
-                        del path[i:]
-                        break
-                continue
-            advanced = False
-            end = adj_start[u + 1]
-            while it[u] < end:
-                arc = adj_arcs[it[u]]
-                v = head[arc]
-                if cap[arc] > EPS and level[v] == level[u] + 1:
-                    path.append(arc)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if advanced:
-                continue
-            if u == source:
-                break  # blocking flow complete for this phase
-            # dead end: prune the node from this phase and retreat
-            level[u] = -1
-            arc = path.pop()
-            u = head[arc ^ 1]
-            it[u] += 1
+        total, pushed = dinic_blocking_flow(
+            source, sink, head, cap, adj_start, adj_arcs, level, total
+        )
+        augments += pushed
 
 
 # --------------------------------------------------------------------
@@ -355,9 +368,8 @@ def ggt_retreat(
 
 
 def ggt_advance(cap, base_cap, alpha_arcs, alpha_coeff, alpha):
-    """Increasing-alpha capacity refresh (kept interpreter-side on every
-    tier: the loop is O(#alpha-arcs), below the list<->array conversion
-    cost a jitted version would pay -- see the registry notes)."""
+    """Increasing-alpha capacity refresh (the numpy and numba tiers run
+    it as one array expression, :func:`repro.accel.vector.ggt_advance`)."""
     for i in range(len(alpha_arcs)):
         a = alpha_arcs[i]
         flow = cap[a ^ 1] - base_cap[a ^ 1]

@@ -1,96 +1,188 @@
-"""numpy-assisted kernel implementations -- the middle dispatch tier.
+"""numpy kernel implementations -- the middle dispatch tier.
 
-Only the kernels with a genuinely vectorisable phase live here; today
-that is Dinic's BFS level construction (one arc-parallel relaxation
-pass per level, which beats the scalar queue on the shallow, wide DSD
-networks).  The sequential loops -- blocking-flow DFS, push-relabel
-discharge, drains, peels -- have no useful numpy formulation, so the
-registry maps them to the pure tier when numba is unavailable.
+Whenever numpy is importable a ``ParametricNetwork`` keeps its arc
+arrays in numpy from construction to cut extraction
+(:mod:`repro.flow.parametric`); this tier works on them directly:
 
-The level arrays the vectorised BFS produces can label more nodes at
-the sink's depth than the early-stopping scalar BFS, but the
-blocking-flow DFS pushes no flow through those extra dead ends, so the
-augmenting-path sequence and every residual float stay bit-identical
-(asserted by the dispatch property suite).
+* :func:`dinic_max_flow` -- at or above :data:`PLAN_MIN_ARCS` arc-array
+  entries every Dinic phase is *planned* in numpy: a frontier BFS over
+  the residual that stops at the sink's level exactly as the scalar BFS
+  does, a backward pass from the sink that keeps only the nodes lying
+  on some shortest augmenting path, and the admissible arcs between
+  those nodes compacted in their original adjacency order.  The
+  reference DFS (:func:`repro.accel.pure.dinic_blocking_flow`) then runs
+  on the compacted arcs alone and the residuals it touched are
+  scattered back.  Below the crossover the pure loop runs on
+  memoryviews of the arrays, which is faster there.
+* :func:`ggt_advance` -- the increasing-α capacity refresh as one
+  array expression.
+
+The sequential loops with no useful numpy formulation (push-relabel,
+the GGT retreat drains, the peels) stay on the pure tier, which the
+registry hands memoryviews of the arrays (:func:`on_views`).
+
+Why the planner cannot change an answer: a node on no shortest s-t
+path when a phase starts stays dead for the whole phase -- the phase
+only saturates forward level arcs and opens backward ones, and backward
+arcs are never admissible -- so the reference DFS would enter it, push
+nothing and prune it.  Skipping it in advance leaves the same
+augmenting paths, in the same order, with the same bottlenecks: every
+residual float, the flow value and the work counters match the pure
+tier (asserted by the dispatch property suite).
 """
 
 from __future__ import annotations
 
 from .. import env
-from ..flow.network import EPS
+from ..flow.network import EPS, arcs_out
 from . import pure
 
 if env.flag("REPRO_NO_NUMPY"):  # explicit opt-out for CI / ablations
     np = None
 else:
-    try:  # optional: the scalar BFS is used when numpy is absent
+    try:  # optional: the registry only selects this tier with numpy present
         import numpy as np
     except ImportError:  # pragma: no cover - environment-specific
         np = None
 
-#: Arc-array length above which the vectorised BFS pays for its
-#: per-call numpy overhead on a *cold* solve (tuned on the bench
-#: surrogates).  Read at every call, so tests and the dispatch-probe
-#: bench can override it at runtime.
-NUMPY_BFS_MIN_ARCS = 8192
+#: Arc-array length (reverse arcs included) from which the planner beats
+#: the pure loop.  Measured on a 2-vCPU host: the benchmark's networks
+#: below 1,000 entries solve 4x slower planned, those of 1,428 and 1,820
+#: entries 0.85-1.06x, those from 4,986 entries up 2-4x faster; random
+#: EDS/CDS networks cross over between 1,000 and 1,100.  Read at every
+#: call, so tests can lower it.
+PLAN_MIN_ARCS = 1024
 
-#: The same threshold for *warm* re-solves.  A warm-started GGT solve
-#: runs 1-3 short BFS passes whose scalar early exit the arc-parallel
-#: relaxation cannot match, so the numpy per-call overhead never
-#: amortises at any probed size (``benchmarks/out/bfs_dispatch_note.txt``)
-#: -- the old single threshold picked the slower numpy BFS for warm
-#: walks on As-Caida-sized networks.  Effectively infinite: warm solves
-#: always take the scalar BFS until an autotuner (ROADMAP) learns a
-#: real crossover from the flow.solve telemetry.
-NUMPY_BFS_MIN_ARCS_WARM = 1 << 62
-
-#: Warmth hint for the next :func:`dinic_max_flow` call, set by the
-#: accel dispatcher from the parametric engine's warm-start mode.
-SOLVE_IS_WARM = False
-
-#: BFS implementation the most recent :func:`dinic_max_flow` call chose
-#: (``"numpy"`` or ``"scalar"``) -- the telemetry side channel the accel
-#: dispatcher copies into the per-solve flow records.
+#: How the most recent :func:`dinic_max_flow` call ran: ``"numpy"`` (the
+#: planner) or ``"scalar"`` (the pure loop) -- the telemetry side channel
+#: the accel dispatcher copies into the per-solve flow records.
 LAST_BFS_MODE = "scalar"
 
 
-def _levels_numpy(head_np, tail_np, cap, n, source, sink):
-    """Arc-parallel BFS: one vectorised relaxation pass per level."""
-    residual = np.asarray(cap) > EPS
+def on_views(fn, args, offsets=None):
+    """Call scalar kernel ``fn`` on memoryviews of the numpy arrays in ``args``.
+
+    The pure loops index a memoryview as fast as a list -- several times
+    faster than a numpy array -- with no copy, and their writes land in
+    the arrays themselves.  The CSR offsets at position ``offsets`` are
+    copied to a list instead: the loops slice them into per-node
+    cursors, which must not alias the network's array.
+    """
+    views = [memoryview(a) if isinstance(a, np.ndarray) else a for a in args]
+    if offsets is not None and isinstance(args[offsets], np.ndarray):
+        views[offsets] = args[offsets].tolist()
+    return fn(*views)
+
+
+def _plan_phase(source, sink, head, cap, adj_start, adj_arcs):
+    """One phase's level graph, cut down to its shortest augmenting paths.
+
+    Returns ``None`` when the sink is unreachable, else ``(arcs,
+    sub_head, sub_start, sub_level)``: the original ids of the arcs kept,
+    grouped by tail in adjacency order, and the paired head array, CSR
+    offsets and levels (the last two as lists) of the compacted network,
+    in which kept arc ``j`` is arc ``2 * j`` and its reverse ``2 * j +
+    1``.  The compacted source is node 0 and the sink the last node.
+    """
+    n = len(adj_start) - 1
     level = np.full(n, -1, dtype=np.int64)
     level[source] = 0
+    frontier = np.array([source])
+    layers = []  # per level d: the admissible arcs leaving level d
     depth = 0
-    while True:
-        grow = residual & (level[tail_np] == depth) & (level[head_np] < 0)
-        if not grow.any():
-            break
-        level[head_np[grow]] = depth + 1
-        if level[sink] >= 0:
-            break
+    while frontier.size and level[sink] < 0:
         depth += 1
-    return level.tolist()
+        arcs = arcs_out(adj_start, adj_arcs, frontier)
+        heads = head[arcs]
+        admissible = (cap[arcs] > EPS) & (level[heads] < 0)
+        level[heads[admissible]] = depth
+        frontier = np.flatnonzero(level == depth)
+        layers.append(arcs[admissible])
+    if level[sink] < 0:
+        return None
+    on_path = np.zeros(n, dtype=bool)
+    on_path[sink] = True
+    for d in range(len(layers) - 1, -1, -1):
+        arcs = layers[d][on_path[head[layers[d]]]]
+        on_path[head[arcs ^ 1]] = True
+        layers[d] = arcs
+    arcs = np.concatenate(layers)
+    tails = head[arcs ^ 1]
+    first = np.empty(arcs.size, dtype=bool)
+    first[0] = True
+    np.not_equal(tails[1:], tails[:-1], out=first[1:])
+    sub_tail = np.cumsum(first) - 1
+    nodes = tails[first]
+    sub_id = np.empty(n, dtype=np.int64)  # read only at kept nodes
+    sub_id[nodes] = np.arange(nodes.size)
+    sub_id[sink] = nodes.size
+    sub_head = np.empty(2 * arcs.size, dtype=np.int64)
+    sub_head[0::2] = sub_id[head[arcs]]
+    sub_head[1::2] = sub_tail
+    sub_start = np.searchsorted(sub_tail, np.arange(nodes.size + 2))
+    sub_level = level[nodes].tolist()
+    sub_level.append(depth)
+    return arcs, sub_head, sub_start.tolist(), sub_level
+
+
+def _planned_max_flow(source, sink, head, cap, adj_start, adj_arcs):
+    total = 0.0
+    bfs_passes = 0
+    augments = 0
+    while True:
+        plan = _plan_phase(source, sink, head, cap, adj_start, adj_arcs)
+        bfs_passes += 1
+        if plan is None:
+            return total, bfs_passes, augments
+        arcs, sub_head, sub_start, sub_level = plan
+        rev = arcs ^ 1
+        sub_cap = np.empty(2 * arcs.size)
+        sub_cap[0::2] = cap[arcs]
+        sub_cap[1::2] = cap[rev]
+        # the DFS indexes memoryviews as fast as lists, without one
+        # Python object per arc, and its writes land in sub_cap itself
+        total, pushed = pure.dinic_blocking_flow(
+            0, len(sub_start) - 2, memoryview(sub_head), memoryview(sub_cap),
+            sub_start, range(0, 2 * arcs.size, 2), sub_level, total,
+        )
+        augments += pushed
+        cap[arcs] = sub_cap[0::2]
+        cap[rev] = sub_cap[1::2]
 
 
 def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
-    """Dinic with the numpy BFS above the warmth-dependent threshold.
+    """Dinic, phases planned in numpy from :data:`PLAN_MIN_ARCS` entries.
 
-    Cold solves switch to the arc-parallel BFS above
-    :data:`NUMPY_BFS_MIN_ARCS` arcs; warm re-solves (per
-    :data:`SOLVE_IS_WARM`) use :data:`NUMPY_BFS_MIN_ARCS_WARM`.
-    Returns ``(total, bfs_passes, augments)`` like the pure tier.
+    Takes the numpy arrays of a parametric network or the lists of a
+    :class:`~repro.flow.network.FlowNetwork` (converted for the planner,
+    with the residuals written back).  Returns ``(total, bfs_passes,
+    augments)`` like the pure tier.
     """
     global LAST_BFS_MODE
-    threshold = NUMPY_BFS_MIN_ARCS_WARM if SOLVE_IS_WARM else NUMPY_BFS_MIN_ARCS
-    if np is None or len(head) < threshold:
+    args = (source, sink, head, cap, adj_start, adj_arcs)
+    if len(head) < PLAN_MIN_ARCS:
         LAST_BFS_MODE = "scalar"
-        return pure.dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs)
+        return on_views(pure.dinic_max_flow, args, 4)
     LAST_BFS_MODE = "numpy"
-    head_np = np.asarray(head, dtype=np.int64)
-    tail_np = head_np.reshape(-1, 2)[:, ::-1].reshape(-1)
-
-    def levels(head_l, cap_l, adj_start_l, adj_arcs_l, n, src, snk):
-        return _levels_numpy(head_np, tail_np, cap_l, n, src, snk)
-
-    return pure.dinic_max_flow(
-        source, sink, head, cap, adj_start, adj_arcs, levels_fn=levels
+    if isinstance(cap, np.ndarray):
+        return _planned_max_flow(*args)
+    residual = np.array(cap, dtype=np.float64)
+    out = _planned_max_flow(
+        source, sink, np.asarray(head), residual, np.asarray(adj_start), np.asarray(adj_arcs)
     )
+    cap[:] = residual.tolist()
+    return out
+
+
+def ggt_advance(cap, base_cap, alpha_arcs, alpha_coeff, alpha):
+    """Increasing-α capacity refresh as one array expression.
+
+    Per α-arc the same IEEE operations as the pure loop, in the same
+    order: ``(base + coeff·α) − flow``.  No α-arc is another's reverse,
+    so the elementwise form reads exactly what the loop reads.
+    """
+    if not isinstance(cap, np.ndarray):  # a list-backed caller (warm_up)
+        return pure.ggt_advance(cap, base_cap, alpha_arcs, alpha_coeff, alpha)
+    rev = alpha_arcs ^ 1
+    flow = cap[rev] - base_cap[rev]
+    cap[alpha_arcs] = base_cap[alpha_arcs] + alpha_coeff * alpha - flow

@@ -10,9 +10,9 @@ replacements for each other.  Statically that means:
 * every function named in ``accel/kernels.py``'s ``KERNEL_NAMES`` that
   also exists in ``accel/pure.py`` or ``accel/vector.py`` agrees with
   its siblings on the *required positional* parameter list (name and
-  order).  Trailing defaulted extras are allowed -- the pure tier's
-  ``levels_fn`` hook is one -- because positional call sites never see
-  them.
+  order).  Trailing defaulted extras are allowed -- an optional tuning
+  keyword on one tier's implementation, say -- because positional call
+  sites never see them.
 
 A signature drift between tiers would not fail until the drifted tier
 is actually selected (possibly only in CI's numba job, possibly only

@@ -30,6 +30,7 @@ instead of re-enumeration.
 
 from __future__ import annotations
 
+import time
 from typing import Iterator, Optional, Sequence
 
 from .. import obs
@@ -56,6 +57,11 @@ class CliqueIndex:
     use_numpy:
         Force the enumeration kernel (``None`` auto-selects); only
         meaningful when ``instances`` is omitted.
+
+    ``build_seconds`` keeps how long the build took (the
+    ``cliques.index.build`` span; for a :meth:`subindex`, the row
+    selection), so a solver handed a pre-built index can charge it to
+    its enumeration time.
     """
 
     __slots__ = (
@@ -70,6 +76,7 @@ class CliqueIndex:
         "alive",
         "num_alive",
         "canonical",
+        "build_seconds",
         "_np_rows",
     )
 
@@ -109,6 +116,7 @@ class CliqueIndex:
 
             self.m = len(self.inst) // h if h else 0
             self._build_incidence()
+        self.build_seconds = sp.seconds
         self.alive = bytearray(b"\x01") * self.m
         self.num_alive = self.m
         self._np_rows = None
@@ -265,6 +273,7 @@ class CliqueIndex:
         remap).  The parent's alive layer is ignored: the result is a
         fresh, fully-alive index.
         """
+        start = time.perf_counter()
         sub = CliqueIndex.__new__(CliqueIndex)
         sub.h = self.h
         sub.vertices = list(subgraph)
@@ -308,6 +317,7 @@ class CliqueIndex:
         sub.alive = bytearray(b"\x01") * sub.m
         sub.num_alive = sub.m
         sub._np_rows = None
+        sub.build_seconds = time.perf_counter() - start
         if obs.ENABLED:
             obs.event(
                 "cliques.subindex",

@@ -133,14 +133,14 @@ def exact_densest(
     if h < 2:
         raise ValueError("h must be >= 2")
 
-    with obs.span("exact.enumeration", h=h) as enum_sp:
-        if h >= 3 and index is None:
-            index = CliqueIndex(graph, h)
-        if h == 2:
-            degrees = {v: graph.degree(v) for v in graph}
-        else:
-            degrees = index.initial_degrees()
-    enum_seconds = enum_sp.seconds
+    if h >= 3 and index is None:
+        index = CliqueIndex(graph, h)
+    # a passed-in index counts too: its build is this call's enumeration
+    enum_seconds = index.build_seconds if index is not None else 0.0
+    if h == 2:
+        degrees = {v: graph.degree(v) for v in graph}
+    else:
+        degrees = index.initial_degrees()
 
     upper = max(degrees.values(), default=0)
     if upper == 0:

@@ -26,13 +26,15 @@ minus ``s`` induces such a subgraph iff it is non-empty (Lemma 14).
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from typing import Iterable, Mapping, Optional, Sequence
 
+from .. import obs
 from ..cliques.enumeration import enumerate_cliques
 from ..cliques.index import CliqueIndex
 from ..graph.graph import Graph, Vertex
-from .network import FlowNetwork
+from .network import FlowNetwork, np
 from .parametric import ParametricNetwork
 
 #: Sentinel source / sink node labels (tuples cannot collide with vertices
@@ -245,6 +247,21 @@ class _ParametricAssembler:
         )
 
 
+def _flow_build_span(builder):
+    """Time a parametric builder as a ``flow.build`` span tagged with the
+    size of the network it built."""
+
+    @functools.wraps(builder)
+    def build(*args, **kwargs) -> ParametricNetwork:
+        with obs.span("flow.build") as sp:
+            net = builder(*args, **kwargs)
+            sp.attrs.update(nodes=net.num_nodes, arcs=net.num_arcs)
+        return net
+
+    return build
+
+
+@_flow_build_span
 def build_eds_parametric(graph: Graph, anchors: Iterable[Vertex] = ()) -> ParametricNetwork:
     """Parametric Goldberg EDS network: sink caps ``(m - deg(v)) + 2α``.
 
@@ -267,6 +284,7 @@ def build_eds_parametric(graph: Graph, anchors: Iterable[Vertex] = ()) -> Parame
     return asm.build()
 
 
+@_flow_build_span
 def build_cds_parametric(
     graph: Graph,
     h: int,
@@ -283,7 +301,8 @@ def build_cds_parametric(
     (h-1)-clique nodes are allocated on first encounter while walking
     the rows -- no tuple or frozenset materialisation, and no (h-1)
     enumeration (uncovered (h-1)-cliques cannot carry flow, so
-    omitting their nodes leaves every min cut unchanged).
+    omitting their nodes leaves every min cut unchanged).  With numpy
+    those arrays are emitted vectorised (:func:`_cds_arrays_from_index`).
     """
     if h < 3:
         raise ValueError("use build_eds_parametric for h == 2")
@@ -324,8 +343,81 @@ def build_cds_parametric(
     return asm.build()
 
 
+def _cds_arrays_from_index(index: CliqueIndex, h: int):
+    """The Algorithm-1 arc arrays of :func:`_cds_parametric_loop`, vectorised.
+
+    Returns ``(num_nodes, head, base_cap, alpha_arcs, alpha_coeff,
+    alpha_src)`` as numpy arrays equal to the loop's lists, or ``None``
+    when the ψ keys would overflow int64 (the loop then runs).  Each
+    (instance, member) pair, in row-major order, names its ψ -- the row
+    minus that member, ascending -- packed into one int64 key; ψ nodes
+    are numbered by first encounter, and a cumulative sum over "ψ seen
+    first here" lays the arcs out in the loop's interleaved order: a
+    new ψ's ``h - 1`` INF arcs, then the pair's unit arc.
+    """
+    nv, m, k = len(index.vertices), index.m, index.h
+    if nv ** (k - 1) >= 1 << 63:
+        return None
+    rows = index.rows_array()
+    source, sink = nv, nv + 1
+    member = rows.reshape(-1)  # pair p = r * k + i: member rows[r, i]
+    drop = ~np.eye(k, dtype=bool)
+    psi = np.broadcast_to(rows[:, None, :], (m, k, k))[:, drop].reshape(m * k, k - 1)
+    if not index.canonical:
+        psi = np.sort(psi, axis=1)
+    key = np.zeros(m * k, dtype=np.int64)
+    for j in range(k - 1):
+        key = key * nv + psi[:, j]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    psi_node = sink + 1 + rank[inverse]
+    is_new = first[inverse] == np.arange(m * k)
+
+    # arc-entry offset of each pair's block: 4 per vertex up front, then
+    # 2 per arc: (k - 1) INF arcs for a new ψ, plus the unit arc
+    arcs_per_pair = 1 + (k - 1) * is_new
+    block = 4 * nv + 2 * (np.cumsum(arcs_per_pair) - arcs_per_pair)
+    size = 4 * nv + 2 * int(arcs_per_pair.sum())
+    head = np.empty(size, dtype=np.int32)
+    cap = np.zeros(size)
+    vid = np.arange(nv)
+    head[0 : 4 * nv : 4] = vid  # s -> v, capacity deg(v)
+    head[1 : 4 * nv : 4] = source
+    cap[0 : 4 * nv : 4] = index.base_degree
+    head[2 : 4 * nv : 4] = sink  # v -> t, capacity h·α
+    head[3 : 4 * nv : 4] = vid
+    new_block = block[is_new]
+    for j in range(k - 1):  # ψ -> u, capacity INF, for u in ψ
+        at = new_block + 2 * j
+        head[at] = psi[is_new, j]
+        head[at + 1] = psi_node[is_new]
+        cap[at] = INF
+    unit = block + 2 * (k - 1) * is_new  # v -> ψ, capacity 1
+    head[unit] = psi_node
+    head[unit + 1] = member
+    cap[unit] = 1.0
+    return (
+        sink + 1 + first.size, head, cap,
+        4 * vid + 2, np.full(nv, float(h)), 4 * vid,
+    )
+
+
 def _cds_parametric_from_index(index: CliqueIndex, h: int) -> ParametricNetwork:
-    """Parametric Algorithm-1 arc arrays straight from the instance rows."""
+    """Parametric Algorithm-1 network straight from the instance rows."""
+    arrays = _cds_arrays_from_index(index, h) if np is not None and index.m else None
+    if arrays is None:
+        return _cds_parametric_loop(index, h)
+    num_nodes, head, cap, alpha_arcs, alpha_coeff, alpha_src = arrays
+    nv = len(index.vertices)
+    return ParametricNetwork(
+        num_nodes, nv, nv + 1, head, cap, alpha_arcs, alpha_coeff, index.vertices,
+        alpha_src=alpha_src,
+    )
+
+
+def _cds_parametric_loop(index: CliqueIndex, h: int) -> ParametricNetwork:
+    """Parametric Algorithm-1 arc arrays from the rows, one pair at a time."""
     asm = _ParametricAssembler(index.vertices)
     degree = index.base_degree
     for i in range(len(asm.vertices)):
@@ -345,6 +437,7 @@ def _cds_parametric_from_index(index: CliqueIndex, h: int) -> ParametricNetwork:
     return asm.build()
 
 
+@_flow_build_span
 def build_pds_parametric(
     graph: Graph,
     pattern_size: int,

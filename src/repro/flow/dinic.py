@@ -11,10 +11,12 @@ The solver runs on the flat arc arrays exposed by
 ``network.flow_arrays()`` (both :class:`~repro.flow.network.FlowNetwork`
 and :class:`~repro.flow.parametric.ParametricNetwork` provide it) and
 dispatches through the :mod:`repro.accel` kernel registry: the numba
-tier compiles the whole BFS + DFS to native code, the numpy tier
-vectorises the BFS level construction above
-:data:`~repro.accel.vector.NUMPY_BFS_MIN_ARCS` arcs, and the python
-tier runs the portable scalar loops.  All tiers are bit-identical.
+tier compiles the whole BFS + DFS to native code; the numpy tier plans
+each phase in numpy from :data:`~repro.accel.vector.PLAN_MIN_ARCS`
+arc entries -- the level graph cut down to the arcs of shortest
+augmenting paths -- and runs the reference DFS on those arcs alone;
+the python tier runs the portable scalar loops.  All tiers are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -48,12 +50,7 @@ def max_flow(network) -> float:
     source, sink, head, cap, adj_start, adj_arcs = network.flow_arrays()
     if source == sink:
         raise ValueError("source and sink must differ")
-    # parametric networks hint their warm-start mode; one-shot networks
-    # have no such attribute and always solve cold
-    return accel.dinic_max_flow(
-        source, sink, head, cap, adj_start, adj_arcs,
-        warm=getattr(network, "_warm_hint", False),
-    )
+    return accel.dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs)
 
 
 def min_cut(network) -> tuple[float, set]:

@@ -6,7 +6,10 @@ with the usual paired reverse-arc layout so residual updates are O(1).
 Adjacency is a CSR index over the arc arrays (``adj_start`` offsets into
 ``adj_arcs``), built lazily once arcs stop being added; the solvers in
 :mod:`repro.flow.dinic` and :mod:`repro.flow.push_relabel` run directly
-on these arrays via :meth:`FlowNetwork.flow_arrays`.
+on these arrays via :meth:`FlowNetwork.flow_arrays`.  The α-parametric
+networks of :mod:`repro.flow.parametric` share the layout, held in
+numpy arrays whenever numpy is importable; :func:`build_csr` and
+:func:`source_reachable` serve both representations.
 
 Capacities may be ``float('inf')`` (the Ψ→v arcs of Algorithm 1).  The
 binary-search guesses ``α`` are reals, so all solvers work on floats
@@ -20,12 +23,12 @@ from __future__ import annotations
 import math
 from typing import Hashable
 
-from .. import env
+from .. import env, obs
 
 if env.flag("REPRO_NO_NUMPY"):  # explicit opt-out for CI / ablations
     np = None
 else:
-    try:  # numpy accelerates CSR assembly; the flow layer works without it
+    try:  # numpy backs the parametric networks; the flow layer works without it
         import numpy as np
     except ImportError:  # pragma: no cover - environment-specific
         np = None
@@ -39,7 +42,7 @@ EPS = 1e-9
 _NUMPY_CSR_MIN_ARCS = 1024
 
 
-def build_csr(head: list[int], num_nodes: int) -> tuple[list[int], list[int]]:
+def build_csr(head, num_nodes: int):
     """CSR adjacency over paired arc arrays.
 
     ``head[i]`` is the head node of arc ``i`` and arc ``i ^ 1`` is its
@@ -47,15 +50,19 @@ def build_csr(head: list[int], num_nodes: int) -> tuple[list[int], list[int]]:
     ``(adj_start, adj_arcs)`` with the arcs leaving node ``u`` at
     ``adj_arcs[adj_start[u]:adj_start[u + 1]]`` in insertion order
     (both builds are stable, so solver traversal order is deterministic).
+    A numpy ``head`` gets numpy arrays of its dtype back, a list gets
+    lists.
     """
     num_arcs = len(head)
-    if np is not None and num_arcs >= _NUMPY_CSR_MIN_ARCS:
-        head_np = np.asarray(head, dtype=np.int64)
+    if np is not None and (isinstance(head, np.ndarray) or num_arcs >= _NUMPY_CSR_MIN_ARCS):
+        head_np = np.asarray(head)
         tails = head_np.reshape(-1, 2)[:, ::-1].reshape(-1)
         counts = np.bincount(tails, minlength=num_nodes)
-        adj_start = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=adj_start[1:])
-        adj_arcs = np.argsort(tails, kind="stable")
+        adj_start = np.zeros(num_nodes + 1, dtype=head_np.dtype)
+        adj_start[1:] = np.cumsum(counts)
+        adj_arcs = np.argsort(tails, kind="stable").astype(head_np.dtype)
+        if isinstance(head, np.ndarray):
+            return adj_start, adj_arcs
         return adj_start.tolist(), adj_arcs.tolist()
     adj_start = [0] * (num_nodes + 1)
     for a in range(num_arcs):
@@ -71,19 +78,36 @@ def build_csr(head: list[int], num_nodes: int) -> tuple[list[int], list[int]]:
     return adj_start, adj_arcs
 
 
-def source_reachable(
-    head: list[int],
-    cap: list[float],
-    adj_start: list[int],
-    adj_arcs: list[int],
-    source: int,
-) -> bytearray:
+def arcs_out(adj_start, adj_arcs, nodes):
+    """The arcs leaving the numpy array ``nodes``, node after node, each
+    node's in adjacency order -- a frontier's CSR ranges, gathered."""
+    start = adj_start[nodes]
+    count = adj_start[nodes + 1] - start
+    shift = np.repeat(start - np.cumsum(count) + count, count)
+    return adj_arcs[shift + np.arange(shift.size)]
+
+
+def source_reachable(head, cap, adj_start, adj_arcs, source: int):
     """Nodes reachable from ``source`` through residual arcs (> EPS).
 
     Run after a max-flow solver: the reachable set is the unique
     minimal source side of a minimum s-t cut.  Shared by
-    :class:`FlowNetwork` and ``ParametricNetwork``.
+    :class:`FlowNetwork` and ``ParametricNetwork``.  Numpy arrays take
+    a frontier-at-a-time pass and get a bool array back; lists take the
+    scalar DFS and get a bytearray.
     """
+    if np is not None and isinstance(cap, np.ndarray):
+        level = np.full(len(adj_start) - 1, -1)
+        level[source] = 0
+        depth = 0
+        frontier = np.array([source])
+        while frontier.size:
+            depth += 1
+            arcs = arcs_out(adj_start, adj_arcs, frontier)
+            heads = head[arcs]
+            level[heads[(cap[arcs] > EPS) & (level[heads] < 0)]] = depth
+            frontier = np.flatnonzero(level == depth)
+        return level >= 0
     seen = bytearray(len(adj_start) - 1)
     seen[source] = 1
     stack = [source]
@@ -195,9 +219,12 @@ class FlowNetwork:
         reachable from the source through arcs with residual capacity
         above :data:`EPS`.
         """
-        adj_start, adj_arcs = self.csr()
-        seen = source_reachable(self.head, self.cap, adj_start, adj_arcs, self._ids[self.source])
-        return {self._nodes[i] for i, flag in enumerate(seen) if flag}
+        with obs.span("flow.cut", nodes=self.num_nodes):
+            adj_start, adj_arcs = self.csr()
+            seen = source_reachable(
+                self.head, self.cap, adj_start, adj_arcs, self._ids[self.source]
+            )
+            return {self._nodes[i] for i, flag in enumerate(seen) if flag}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FlowNetwork(nodes={self.num_nodes}, arcs={self.num_arcs})"

@@ -62,7 +62,7 @@ from typing import Optional, Sequence
 
 from .. import accel, guard, obs
 from ..guard import sanitize
-from .network import EPS, build_csr, source_reachable
+from .network import EPS, build_csr, np, source_reachable
 
 
 class ParametricNetwork:
@@ -73,6 +73,14 @@ class ParametricNetwork:
     sink, and any instance/group nodes.  Use the builders in
     :mod:`repro.flow.builders` (``build_eds_parametric`` and friends)
     rather than constructing directly.
+
+    With numpy importable, the arc arrays (``head``, the CSR index,
+    ``base_cap``, the residual ``cap`` and the α-arc tables) are numpy
+    arrays -- int32 indices, float64 capacities -- for the network's
+    whole life, and the α bookkeeping and cut extraction are array
+    expressions with the same IEEE operations, in the same order, as the
+    list loops that run without numpy.  Values leaving the network
+    (cuts, cut lines) are Python ints and floats either way.
     """
 
     __slots__ = (
@@ -90,7 +98,6 @@ class ParametricNetwork:
         "vertex_labels",
         "_alpha",
         "_canceled",
-        "_warm_hint",
         "_checkpoint_alpha",
         "_checkpoint_cap",
         "_min_coeff",
@@ -102,41 +109,50 @@ class ParametricNetwork:
         num_nodes: int,
         source: int,
         sink: int,
-        head: list[int],
-        base_cap: list[float],
-        alpha_arcs: list[int],
-        alpha_coeff: list[float],
+        head,
+        base_cap,
+        alpha_arcs,
+        alpha_coeff,
         vertex_labels: Sequence,
-        alpha_src: Optional[list[int]] = None,
+        alpha_src=None,
     ):
         self.num_nodes = num_nodes
         self.source = source
         self.sink = sink
+        # alpha_src[i]: arc id of the paired (finite) s -> v arc of the
+        # vertex whose sink arc is alpha_arcs[i], or -1 when unknown --
+        # enables the pass-through cancellation on cold solves.
+        if alpha_src is None:
+            alpha_src = [-1] * len(alpha_arcs)
+        if np is not None:
+            head = np.asarray(head, dtype=np.int32)
+            base_cap = np.asarray(base_cap, dtype=np.float64)
+            alpha_arcs = np.asarray(alpha_arcs, dtype=np.int32)
+            alpha_coeff = np.asarray(alpha_coeff, dtype=np.float64)
+            alpha_src = np.asarray(alpha_src, dtype=np.int32)
+            self._min_coeff = float(alpha_coeff.min()) if alpha_coeff.size else 0.0
+        else:
+            self._min_coeff = min(alpha_coeff, default=0.0)
         self.head = head
         self.base_cap = base_cap
         self.alpha_arcs = alpha_arcs
         self.alpha_coeff = alpha_coeff
-        # alpha_src[i]: arc id of the paired (finite) s -> v arc of the
-        # vertex whose sink arc is alpha_arcs[i], or -1 when unknown --
-        # enables the pass-through cancellation on cold solves.
-        self.alpha_src = alpha_src if alpha_src is not None else [-1] * len(alpha_arcs)
+        self.alpha_src = alpha_src
         self.vertex_labels = list(vertex_labels)
         self.adj_start, self.adj_arcs = build_csr(head, num_nodes)
-        self.cap = list(base_cap)
+        self.cap = base_cap.copy()
         self._alpha: Optional[float] = None
         self._canceled = False
-        self._warm_hint = False
         self._checkpoint_alpha: Optional[float] = None
-        self._checkpoint_cap: Optional[list[float]] = None
-        self._min_coeff = min(alpha_coeff, default=0.0)
-        self._coeff_by_arc: Optional[dict[int, float]] = None
+        self._checkpoint_cap = None
+        self._coeff_by_arc = None
 
     @property
     def num_arcs(self) -> int:
         """Number of forward arcs (reverse arcs not counted)."""
         return len(self.head) // 2
 
-    def flow_arrays(self) -> tuple[int, int, list[int], list[float], list[int], list[int]]:
+    def flow_arrays(self) -> tuple:
         """``(source, sink, head, cap, adj_start, adj_arcs)`` for the solvers."""
         return self.source, self.sink, self.head, self.cap, self.adj_start, self.adj_arcs
 
@@ -154,16 +170,27 @@ class ParametricNetwork:
         ``Σ (deg − coeff·α)⁺``.  :meth:`_uncancel` converts the residual
         state back to the plain network before any warm start.
         """
-        self.cap = list(self.base_cap)
         cap, base = self.cap, self.base_cap
-        for a, c, s in zip(self.alpha_arcs, self.alpha_coeff, self.alpha_src):
-            t = base[a] + c * alpha
-            if s >= 0:
-                cv = t if t < base[s] else base[s]
-                cap[a] = t - cv
-                cap[s] = base[s] - cv
-            else:
-                cap[a] = t
+        cap[:] = base
+        if np is not None:
+            arcs, src = self.alpha_arcs, self.alpha_src
+            sink_cap = base[arcs] + self.alpha_coeff * alpha
+            paired = src >= 0
+            src = src[paired]
+            src_cap = base[src]
+            through = np.where(sink_cap[paired] < src_cap, sink_cap[paired], src_cap)
+            sink_cap[paired] -= through
+            cap[arcs] = sink_cap
+            cap[src] = src_cap - through
+        else:
+            for a, c, s in zip(self.alpha_arcs, self.alpha_coeff, self.alpha_src):
+                t = base[a] + c * alpha
+                if s >= 0:
+                    cv = t if t < base[s] else base[s]
+                    cap[a] = t - cv
+                    cap[s] = base[s] - cv
+                else:
+                    cap[a] = t
         self._alpha = alpha
         self._canceled = True
 
@@ -179,13 +206,24 @@ class ParametricNetwork:
         """
         cap, base = self.cap, self.base_cap
         alpha = self._alpha
-        for a, c, s in zip(self.alpha_arcs, self.alpha_coeff, self.alpha_src):
-            if s >= 0:
-                t = base[a] + c * alpha
-                cv = t if t < base[s] else base[s]
-                if cv > 0.0:
-                    cap[a ^ 1] += cv
-                    cap[s ^ 1] += cv
+        if np is not None:
+            paired = self.alpha_src >= 0
+            arcs, src = self.alpha_arcs[paired], self.alpha_src[paired]
+            sink_cap = base[arcs] + self.alpha_coeff[paired] * alpha
+            src_cap = base[src]
+            through = np.where(sink_cap < src_cap, sink_cap, src_cap)
+            carried = through > 0.0
+            through = through[carried]
+            cap[arcs[carried] ^ 1] += through
+            cap[src[carried] ^ 1] += through
+        else:
+            for a, c, s in zip(self.alpha_arcs, self.alpha_coeff, self.alpha_src):
+                if s >= 0:
+                    t = base[a] + c * alpha
+                    cv = t if t < base[s] else base[s]
+                    if cv > 0.0:
+                        cap[a ^ 1] += cv
+                        cap[s ^ 1] += cv
         self._canceled = False
 
     def _advance_alpha(self, alpha: float) -> None:
@@ -241,7 +279,7 @@ class ParametricNetwork:
         if self._canceled:  # normalise direct set_alpha/max_flow usage
             self._uncancel()
         self._checkpoint_alpha = self._alpha
-        self._checkpoint_cap = list(self.cap)
+        self._checkpoint_cap = self.cap.copy()
 
     def solve(self, alpha: float, solver=None) -> set:
         """Max-flow at ``alpha``; return the source-side cut vertex set.
@@ -293,7 +331,7 @@ class ParametricNetwork:
             and self._warm_step_ok(alpha - self._checkpoint_alpha)
         ):
             mode = "checkpoint"
-            self.cap = list(self._checkpoint_cap)
+            self.cap[:] = self._checkpoint_cap
             self._alpha = self._checkpoint_alpha
             self._advance_alpha(alpha)
         elif (
@@ -306,7 +344,6 @@ class ParametricNetwork:
         else:
             mode = "cold"
             self.set_alpha(alpha)
-        self._warm_hint = mode != "cold"
         if solver is None:
             from . import dinic as solver  # late import avoids a cycle
         solver.max_flow(self)
@@ -345,10 +382,24 @@ class ParametricNetwork:
         """
         if nodes is None:
             nodes = self.min_cut_source_side()
+        head, base = self.head, self.base_cap
+        if np is not None:
+            if self._coeff_by_arc is None:
+                self._coeff_by_arc = np.zeros(len(head))
+                self._coeff_by_arc[self.alpha_arcs] = self.alpha_coeff
+            side = np.zeros(self.num_nodes, dtype=bool)
+            side[np.fromiter(nodes, dtype=np.int64, count=len(nodes))] = True
+            # forward arcs only (reverses carry base 0); cumsum adds left
+            # to right, as the loop below does
+            crossing = np.flatnonzero(side[head[1::2]] & ~side[head[0::2]]) * 2
+            if not crossing.size:
+                return 0.0, 0.0
+            a_term = 0.0 + float(np.cumsum(base[crossing])[-1])
+            b_term = 0.0 + float(np.cumsum(self._coeff_by_arc[crossing])[-1])
+            return a_term, b_term
         if self._coeff_by_arc is None:
             self._coeff_by_arc = dict(zip(self.alpha_arcs, self.alpha_coeff))
         coeff_of = self._coeff_by_arc.get
-        head, base = self.head, self.base_cap
         a_term = 0.0
         b_term = 0.0
         for arc in range(0, len(head), 2):  # forward arcs only; reverses carry base 0
@@ -487,16 +538,23 @@ class ParametricNetwork:
 
     # --- cut extraction ----------------------------------------------
 
+    def _reachable_ids(self, limit: int) -> list[int]:
+        """Residual-reachable node ids below ``limit``, ascending."""
+        seen = source_reachable(self.head, self.cap, self.adj_start, self.adj_arcs, self.source)
+        if np is not None:
+            return np.flatnonzero(seen[:limit]).tolist()
+        return [i for i in range(limit) if seen[i]]
+
     def min_cut_source_side(self) -> set[int]:
         """Source side of the min cut, as internal node ids."""
-        seen = source_reachable(self.head, self.cap, self.adj_start, self.adj_arcs, self.source)
-        return {i for i in range(self.num_nodes) if seen[i]}
+        with obs.span("flow.cut", nodes=self.num_nodes):
+            return set(self._reachable_ids(self.num_nodes))
 
     def cut_vertices(self) -> set:
         """Graph vertices (external labels) on the source side of the cut."""
-        labels = self.vertex_labels
-        seen = source_reachable(self.head, self.cap, self.adj_start, self.adj_arcs, self.source)
-        return {labels[i] for i in range(len(labels)) if seen[i]}
+        with obs.span("flow.cut", nodes=self.num_nodes):
+            labels = self.vertex_labels
+            return {labels[i] for i in self._reachable_ids(len(labels))}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -82,7 +82,7 @@ def _check_flow_state(source, sink, head, cap, orig, adj_start, adj_arcs, contex
         if abs(excess[node]) > TOL * (1.0 + absflow[node]):
             _fail(context, f"flow conservation violated at node {node}: excess {excess[node]}")
 
-    seen = source_reachable(head, cap, adj_start, adj_arcs, source)
+    seen = source_reachable(head, cap, adj_start, adj_arcs, source)  # lists: the scalar DFS
     if seen[sink]:
         _fail(context, "sink reachable in the residual graph: not a max flow")
     cut_capacity = 0.0
@@ -98,22 +98,37 @@ def _check_flow_state(source, sink, head, cap, orig, adj_start, adj_arcs, contex
             f"max-flow value {value} != min-cut capacity {cut_capacity} "
             "(duality violated)",
         )
+    return seen
+
+
+def _as_list(array) -> list:
+    """A plain-list copy of a numpy array (a list passes through)."""
+    return array.tolist() if hasattr(array, "tolist") else array
 
 
 def check_parametric(net) -> None:
     """Validate a solved :class:`~repro.flow.parametric.ParametricNetwork`.
 
     Must be called on the *plain* (un-cancelled) residual state --
-    ``_solve_residual`` calls it right after its ``_uncancel``.
+    ``_solve_residual`` calls it right after its ``_uncancel``.  The
+    battery runs on list copies with the scalar reachability; for a
+    numpy-backed network it also demands that the numpy reachability
+    the cuts are read with finds exactly the same source side.
     """
     alpha = net._alpha
-    orig = list(net.base_cap)
-    for a, c in zip(net.alpha_arcs, net.alpha_coeff):
-        orig[a] = net.base_cap[a] + c * alpha
-    _check_flow_state(
-        net.source, net.sink, net.head, net.cap, orig,
-        net.adj_start, net.adj_arcs, f"parametric solve at alpha={alpha}",
+    base = _as_list(net.base_cap)
+    orig = list(base)
+    for a, c in zip(_as_list(net.alpha_arcs), _as_list(net.alpha_coeff)):
+        orig[a] = base[a] + c * alpha
+    context = f"parametric solve at alpha={alpha}"
+    seen = _check_flow_state(
+        net.source, net.sink, _as_list(net.head), _as_list(net.cap), orig,
+        _as_list(net.adj_start), _as_list(net.adj_arcs), context,
     )
+    if not isinstance(net.cap, list):
+        fast = source_reachable(net.head, net.cap, net.adj_start, net.adj_arcs, net.source)
+        if [bool(flag) for flag in fast.tolist()] != [bool(flag) for flag in seen]:
+            _fail(context, "numpy cut differs from the scalar residual reachable set")
 
 
 def check_flow_network(network) -> None:

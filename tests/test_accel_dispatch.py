@@ -131,8 +131,8 @@ class TestSelection:
         assert tier == "numba"
         expected = "numba" if HAS_NUMBA else "numba-interp"
         assert kernels["dinic"] == expected
-        # the advance loop stays interpreter-side by design
-        assert kernels["ggt_advance"] == "python"
+        # the advance is one numpy array expression on both array tiers
+        assert kernels["ggt_advance"] == "numpy"
 
     def test_select_tier_validates(self):
         with pytest.raises(ValueError):
@@ -186,13 +186,14 @@ class TestFlowKernelBitIdentity:
             assert results[tier] == base, tier
 
     @pytest.mark.skipif(accel.np is None, reason="vector tier needs numpy")
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", range(50))
     def test_vectorised_bfs_bit_identical(self, seed, monkeypatch):
-        """Force the numpy BFS on tiny networks: same floats as scalar."""
+        """Force the numpy phase planner on tiny networks: same flow
+        value, residual floats and cut as the python tier."""
         accel.select_tier("python")
         ref = random_network(seed)
         ref_value = dinic.max_flow(ref)
-        monkeypatch.setattr(accel.vector, "NUMPY_BFS_MIN_ARCS", 1)
+        monkeypatch.setattr(accel.vector, "PLAN_MIN_ARCS", 0)
         accel.select_tier("numpy")
         net = random_network(seed)
         value = dinic.max_flow(net)
@@ -209,26 +210,46 @@ class TestFlowKernelBitIdentity:
 @pytest.mark.skipif(not MULTI, reason="only one tier available")
 class TestParametricBitIdentity:
     @pytest.mark.parametrize("seed", range(8))
-    def test_alpha_walk_bit_identical(self, seed):
+    def test_alpha_walk_bit_identical(self, seed, monkeypatch):
         """A fixed up-and-down α walk must leave identical residual
-        floats and cuts on every tier (exercises the retreat drains)."""
+        floats and cuts on every tier (exercises the retreat drains),
+        and with the numpy phase planner forced on at any size -- on the
+        EDS network and, for the INF ψ→v arcs, on a CDS h=3 network."""
         import random as _random
+
+        from repro.cliques.index import CliqueIndex
 
         rng = _random.Random(seed)
         g = random_graph(22, 65, seed + 900)
-        alphas = [rng.uniform(0.0, g.max_degree()) for _ in range(12)]
+        walks = {
+            "eds": (
+                lambda: build_eds_parametric(g),
+                [rng.uniform(0.0, g.max_degree()) for _ in range(12)],
+            ),
+            "cds": (
+                lambda: build_cds_parametric(g, 3),
+                [rng.uniform(0.0, max(CliqueIndex(g, 3).base_degree) / 3.0) for _ in range(12)],
+            ),
+        }
+
+        def walk() -> dict:
+            out = {}
+            for name, (build, alphas) in walks.items():
+                net = build()
+                out[name] = [(frozenset(net.solve(a)), tuple(net.cap)) for a in alphas]
+            return out
+
         traces = {}
         for tier in TIERS:
             accel.select_tier(tier)
-            net = build_eds_parametric(g)
-            trace = []
-            for alpha in alphas:
-                cut = net.solve(alpha)
-                trace.append((frozenset(cut), tuple(net.cap)))
-            traces[tier] = trace
+            traces[tier] = walk()
+        if accel.np is not None:
+            monkeypatch.setattr(accel.vector, "PLAN_MIN_ARCS", 0)
+            accel.select_tier("numpy")
+            traces["planner"] = walk()
         base = traces[TIERS[0]]
-        for tier in TIERS[1:]:
-            assert traces[tier] == base, tier
+        for tier, trace in traces.items():
+            assert trace == base, tier
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("h", [2, 3])
@@ -309,67 +330,3 @@ class TestEndToEndBitIdentity:
         base = results[TIERS[0]]
         for tier in TIERS[1:]:
             assert results[tier] == base, tier
-
-
-class TestWarmAwareBfsDispatch:
-    """The numpy-tier BFS threshold is warmth-dependent (regression:
-    the old single threshold sent warm GGT re-solves to the numpy BFS,
-    whose per-call overhead never amortises over 1-3 short passes)."""
-
-    @pytest.fixture(autouse=True)
-    def _numpy_tier(self):
-        from repro.accel import vector
-
-        if not _probe_import("numpy"):
-            pytest.skip("numpy unavailable: no BFS dispatch to probe")
-        saved = (vector.NUMPY_BFS_MIN_ARCS, vector.NUMPY_BFS_MIN_ARCS_WARM)
-        accel.select_tier("numpy")
-        yield
-        vector.NUMPY_BFS_MIN_ARCS, vector.NUMPY_BFS_MIN_ARCS_WARM = saved
-        accel.select_tier(None)
-
-    def test_warm_solves_take_scalar_cold_takes_numpy(self):
-        """With the cold threshold forced to 0, a cold solve picks the
-        numpy BFS while warm re-solves still pick the scalar BFS -- the
-        deterministic statement of the warmth split."""
-        from repro import obs
-        from repro.accel import vector
-
-        vector.NUMPY_BFS_MIN_ARCS = 0  # cold: numpy BFS at any size
-        g = random_graph(40, 170, seed=7)
-        net = build_eds_parametric(g)
-        obs.enable()
-        try:
-            net.solve(0.5)  # cold
-            net.solve(1.0)  # warm advance
-            net.solve(1.5)  # warm advance
-            events = [
-                e["fields"]
-                for e in obs.get_collector().events()
-                if e["name"] == "flow.solve"
-            ]
-        finally:
-            obs.disable()
-        modes = [(f["mode"], f.get("bfs_mode")) for f in events]
-        assert modes[0] == ("cold", "numpy"), modes
-        for mode, bfs in modes[1:]:
-            assert mode != "cold", modes
-            assert bfs == "scalar", modes
-
-    def test_default_warm_threshold_is_unreachable(self):
-        from repro.accel import vector
-
-        assert vector.NUMPY_BFS_MIN_ARCS_WARM > 1 << 40
-        assert vector.NUMPY_BFS_MIN_ARCS < vector.NUMPY_BFS_MIN_ARCS_WARM
-
-    def test_warm_hint_threaded_from_parametric(self):
-        """The parametric engine's warm-start mode reaches the vector
-        module through the dispatcher's ``warm=`` keyword."""
-        from repro.accel import vector
-
-        g = random_graph(30, 120, seed=9)
-        net = build_eds_parametric(g)
-        net.solve(0.5)
-        assert vector.SOLVE_IS_WARM is False  # first solve is cold
-        net.solve(1.0)
-        assert vector.SOLVE_IS_WARM is True  # re-solve came in warm

@@ -1,9 +1,12 @@
 """Tests for the DSD flow-network constructions."""
 
+import random
+
 import pytest
 
 from repro.cliques.enumeration import count_cliques
-from repro.flow import dinic
+from repro.cliques.index import CliqueIndex
+from repro.flow import builders, dinic
 from repro.flow.builders import (
     build_cds_network,
     build_eds_network,
@@ -16,6 +19,7 @@ from repro.patterns.isomorphism import enumerate_pattern_instances, instance_ver
 from repro.patterns.pattern import get_pattern
 
 from .conftest import random_graph
+from .test_clique_index import GRAPHS, H_VALUES
 
 
 def decision_eds(graph, alpha) -> bool:
@@ -113,3 +117,38 @@ class TestPdsNetworks:
         plain = build_pds_network(g, 4, 0.5, sets)
         grouped = build_pds_network_grouped(g, 4, 0.5, sets)
         assert grouped.num_nodes < plain.num_nodes
+
+
+def _explicit_index(graph, h, seed) -> CliqueIndex:
+    """The graph's h-cliques as explicit instances: members shuffled
+    within each row, rows shuffled, a third of them duplicated."""
+    rng = random.Random(seed)
+    rows = [tuple(rng.sample(inst, h)) for inst in CliqueIndex(graph, h).instance_tuples()]
+    rows += rows[: len(rows) // 3]
+    rng.shuffle(rows)
+    return CliqueIndex(graph, h, instances=rows)
+
+
+@pytest.mark.skipif(builders.np is None, reason="the vectorised builder needs numpy")
+@pytest.mark.parametrize("kind", ["graph-built", "explicit"])
+@pytest.mark.parametrize("h", H_VALUES)
+def test_vectorised_cds_arrays_match_the_loop(h, kind):
+    """The vectorised Algorithm-1 arrays equal the pair-at-a-time loop's:
+    node count, heads, base capacities and the α-arc tables."""
+    checked = 0
+    for seed, g in enumerate(GRAPHS):
+        index = CliqueIndex(g, h) if kind == "graph-built" else _explicit_index(g, h, seed)
+        if not index.m:
+            continue
+        num_nodes, head, cap, alpha_arcs, alpha_coeff, alpha_src = (
+            builders._cds_arrays_from_index(index, h)
+        )
+        loop = builders._cds_parametric_loop(index, h)
+        assert num_nodes == loop.num_nodes
+        assert head.tolist() == loop.head.tolist()
+        assert cap.tolist() == loop.base_cap.tolist()
+        assert alpha_arcs.tolist() == loop.alpha_arcs.tolist()
+        assert alpha_coeff.tolist() == loop.alpha_coeff.tolist()
+        assert alpha_src.tolist() == loop.alpha_src.tolist()
+        checked += 1
+    assert checked >= 10

@@ -277,6 +277,34 @@ class TestBreakpointEngine:
             value = dinic.max_flow(legacy)
             assert a_term + b_term * alpha == pytest.approx(value, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cut_line_sums_left_to_right(self, seed):
+        """Fractional capacities make float sums order-dependent: the
+        cut line adds the crossing arcs in arc order, bit for bit."""
+        import random as _random
+
+        from repro.flow.parametric import ParametricNetwork
+
+        rng = _random.Random(seed)
+        n = 12
+        head, cap, alpha_arcs, alpha_coeff = [], [], [], []
+        for _ in range(60):
+            u, v = rng.sample(range(n), 2)
+            if rng.random() < 0.3:
+                alpha_arcs.append(len(head))
+                alpha_coeff.append(rng.uniform(0.1, 3.0))
+            head += [v, u]
+            cap += [rng.uniform(0.1, 10.0), 0.0]
+        net = ParametricNetwork(n, 0, 1, head, cap, alpha_arcs, alpha_coeff, range(n))
+        coeff = dict(zip(alpha_arcs, alpha_coeff))
+        side = set(rng.sample(range(n), 6)) | {0}
+        a_term = b_term = 0.0
+        for arc in range(0, len(head), 2):
+            if head[arc ^ 1] in side and head[arc] not in side:
+                a_term += cap[arc]
+                b_term += coeff.get(arc, 0.0)
+        assert net.cut_line(side) == (a_term, b_term)
+
 
 class TestFlowEngineBitIdentical:
     """α-reuse must not change any flow-dependent result."""

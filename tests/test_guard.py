@@ -453,6 +453,35 @@ class TestFailover:
         assert res.density == clean.density
         assert real is not evil
 
+    def test_planner_failure_mid_solve_restores_arrays(self, monkeypatch):
+        """A planned Dinic solve that fails after scattering a phase back
+        is undone, and the python retry leaves the same residuals."""
+        from repro.accel import pure, vector
+
+        g = random_graph(60, 300, seed=53)
+        accel.select_tier("python")
+        ref = build_eds_parametric(g)
+        ref_cut = ref.solve(5.0)  # four phases
+        monkeypatch.setattr(vector, "PLAN_MIN_ARCS", 0)
+        accel.select_tier("numpy")
+        real = pure.dinic_blocking_flow
+        calls = []
+
+        def flaky(*args):
+            calls.append(None)
+            if len(calls) == 2:  # the planner's second phase
+                raise RuntimeError("phase crashed after one scatter")
+            return real(*args)
+
+        monkeypatch.setattr(pure, "dinic_blocking_flow", flaky)
+        net = build_eds_parametric(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cut = net.solve(5.0)
+        assert [rec["from_tier"] for rec in accel.failover_log()] == ["numpy"]
+        assert cut == ref_cut
+        assert tuple(net.cap) == tuple(ref.cap)
+
     def test_heap_peel_fallback_to_reference_loop(self):
         """With no impl below it, a failing heap_peel kernel falls back
         to the reference generator loop (KernelFallback path)."""
@@ -491,6 +520,26 @@ class TestSanitizer:
         # push more flow through arc 0 than its capacity allows
         net.cap[0] = -1.0
         with pytest.raises(guard.SanitizerError):
+            sanitize.check_parametric(net)
+
+    def test_detects_numpy_cut_mismatch(self, monkeypatch):
+        """The numpy reachability that cuts are read with must find the
+        scalar reachability's source side exactly."""
+        g = random_graph(30, 120, seed=61)
+        net = build_eds_parametric(g)
+        net.solve(1.0)
+        if isinstance(net.cap, list):
+            pytest.skip("list-backed network: no numpy cut to compare")
+        real = sanitize.source_reachable
+
+        def skewed(head, cap, *rest):
+            seen = real(head, cap, *rest)
+            if not isinstance(cap, list):
+                seen[0] = not seen[0]
+            return seen
+
+        monkeypatch.setattr(sanitize, "source_reachable", skewed)
+        with pytest.raises(guard.SanitizerError, match="numpy cut"):
             sanitize.check_parametric(net)
 
     def test_detects_conservation_violation(self):

@@ -126,8 +126,9 @@ def test_stats_backward_compat_and_reconciliation():
     graph = _random_graph(60, 260, seed=5)
     obs.enable()
     exact = exact_densest(graph, 2)
-    core = core_exact_densest(graph, 3)
     col = obs.get_collector()
+    builds = len(col.spans("cliques.index.build"))
+    core = core_exact_densest(graph, 3)
 
     for key in ("network_sizes", "enumeration_seconds", "flow_seconds"):
         assert key in exact.stats, key
@@ -140,17 +141,49 @@ def test_stats_backward_compat_and_reconciliation():
 
     # exact reconciliation: the stats floats ARE the span durations
     assert exact.stats["flow_seconds"] == col.spans("exact.flow")[-1]["dur_s"]
-    assert (
-        exact.stats["enumeration_seconds"]
-        == col.spans("exact.enumeration")[-1]["dur_s"]
-    )
+    assert exact.stats["enumeration_seconds"] == 0.0  # h = 2: no clique index
     assert core.stats["flow_seconds"] == col.spans("core_exact.flow")[-1]["dur_s"]
-    enum_sp = col.spans("core_exact.enumeration")[-1]["dur_s"]
+    enum_sp = col.spans("cliques.index.build")[builds]["dur_s"]
     decomp_sp = col.spans("core_exact.decomposition")[-1]["dur_s"]
     assert core.stats["enumeration_seconds"] == enum_sp
     assert core.stats["decomposition_seconds"] == enum_sp + decomp_sp
     # total still covers the phases
     assert core.stats["total_seconds"] >= core.stats["flow_seconds"]
+
+    # api path: the index is built before the solver starts and is still
+    # charged to the call's enumeration, decomposition and total time
+    builds = len(col.spans("cliques.index.build"))
+    via_api = api.densest_subgraph(graph, 3, method="core-exact")
+    enum_sp = col.spans("cliques.index.build")[builds]["dur_s"]
+    assert via_api.stats["enumeration_seconds"] == enum_sp > 0.0
+    assert via_api.stats["decomposition_seconds"] >= via_api.stats["enumeration_seconds"]
+    assert via_api.stats["total_seconds"] >= via_api.stats["enumeration_seconds"]
+
+
+def test_flow_build_and_cut_spans_nest_under_core_exact_flow(tmp_path):
+    """Network construction and cut extraction get their own spans
+    inside ``core_exact.flow``; with the solves they fit inside it."""
+    from repro.obs.validate import main as validate_main
+
+    graph = _random_graph(60, 260, seed=5)
+    path = tmp_path / "trace.jsonl"
+    obs.enable(sink=str(path))
+    core_exact_densest(graph, 3)
+    obs.close()
+    col = obs.get_collector()
+    (flow_sp,) = col.spans("core_exact.flow")
+    builds = col.spans("flow.build")
+    cuts = col.spans("flow.cut")
+    assert builds and cuts
+    for sp in builds + cuts:
+        assert sp["parent"] == "core_exact.flow"
+        assert flow_sp["t0_s"] <= sp["t0_s"] <= flow_sp["t0_s"] + flow_sp["dur_s"]
+    for sp in builds:
+        assert sp["attrs"]["nodes"] > 0 and sp["attrs"]["arcs"] > 0
+    solve_s = sum(ev["fields"]["seconds"] for ev in col.events(obs.FLOW_SOLVE))
+    inner = sum(sp["dur_s"] for sp in builds + cuts) + solve_s
+    assert inner <= flow_sp["dur_s"]
+    assert validate_main([str(path)]) == 0
 
 
 def test_summary_flow_rollup_consistent():
