@@ -386,9 +386,8 @@ def degree_bucket_queue(deg):
 
     Returns ``(position, order, bin_ptr)``: ``order`` lists vertex ids
     ascending by degree with ``position`` its inverse, and ``bin_ptr[d]``
-    points at the first entry of degree-``d``'s bucket.  Shared by the
-    full decomposition and CoreApp's floor-clamped prefix peel; both
-    then run the standard one-swap-per-decrement loop over these arrays.
+    points at the first entry of degree-``d``'s bucket; :func:`bucket_peel`
+    then runs the standard one-swap-per-decrement loop over these arrays.
     """
     n = len(deg)
     max_deg = max(deg, default=0)

@@ -41,6 +41,7 @@ ENTRY_POINTS: dict[str, tuple[str, ...]] = {
     "core/exact.py": ("exact_densest",),
     "core/core_exact.py": ("core_exact_densest",),
     "core/peel.py": ("peel_densest",),
+    "core/core_app.py": ("core_app_densest",),
     "serve/__init__.py": ("get_snapshot", "batch_densest"),
 }
 

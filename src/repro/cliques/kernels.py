@@ -5,9 +5,8 @@ row of a flat ``(m_Ψ × h)`` integer array over dense internal vertex
 ids.  This module produces that array:
 
 * :func:`triangle_rows` / :func:`k4_rows` -- numpy intersection kernels
-  for h = 3 and h = 4, generalising the sorted-adjacency intersection
-  of :func:`repro.graph.csr.triangle_degrees` from per-vertex *counts*
-  to full *instance rows*.  Both enumerate over the upward orientation
+  for h = 3 and h = 4, emitting full *instance rows* (not just
+  per-vertex counts).  Both enumerate over the upward orientation
   (edges point from smaller to larger internal id), so each clique is
   emitted exactly once as an ascending row, and the whole enumeration
   is a handful of O(#wedges) array operations instead of nested Python

@@ -17,14 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import accel
-from ..accel.pure import degree_bucket_queue  # re-export: CoreApp's prefix peel uses it
 from ..cliques.index import CliqueIndex
 from ..graph.graph import Graph, Vertex
+from .peel import residual_vertices
 
 __all__ = [
     "CliqueCoreResult",
     "clique_core_decomposition",
-    "degree_bucket_queue",
     "peel_index_decomposition",
     "clique_core_subgraph",
     "kmax_clique_core",
@@ -124,9 +123,6 @@ def peel_index_decomposition(graph: Graph, index: CliqueIndex) -> CliqueCoreResu
         degree = index.degrees()
         deg = [degree[v] for v in labels]
 
-    # The best residual is reconstructed from the peel prefix at the end
-    # instead of copying the alive set on every improvement (O(n^2) on
-    # graphs whose density keeps rising while peeling).
     core_by_id, order, best_removed, best_density = accel.bucket_peel(
         index.inst, index.inc_start, index.inc_ids, deg, alive, in_graph,
         index.h, n_graph, num_alive,
@@ -138,18 +134,12 @@ def peel_index_decomposition(graph: Graph, index: CliqueIndex) -> CliqueCoreResu
         vi = order[i]
         core[labels[vi]] = core_by_id[vi]
         peel_order.append(labels[vi])
-    graph_vertices = set(graph.vertices())
-    if best_removed:
-        peeled = set(peel_order[:best_removed])
-        best_vertices = {v for v in graph_vertices if v not in peeled}
-    else:
-        best_vertices = set(graph_vertices)
     kmax = max(core.values(), default=0)
     return CliqueCoreResult(
         core=core,
         kmax=kmax,
         best_residual_density=best_density,
-        best_residual_vertices=best_vertices,
+        best_residual_vertices=residual_vertices(graph, peel_order, best_removed),
         peel_order=peel_order,
     )
 

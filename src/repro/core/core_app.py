@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 
+from .. import accel, guard, obs
 from ..cliques.index import CliqueIndex
+from ..cliques.kernels import np
 from ..graph.graph import Graph, Vertex
-from .clique_core import degree_bucket_queue
 from .exact import DensestSubgraphResult
-from .kcore import core_decomposition
+from .kcore import core_decomposition, level_peel
 
 
 def _gamma_bounds(graph: Graph, h: int) -> dict[Vertex, int]:
@@ -66,48 +67,53 @@ def core_app_densest(
     if n == 0:
         return DensestSubgraphResult(set(), 0.0, "CoreApp")
 
-    gamma = _gamma_bounds(graph, h)
-    ordered = sorted(graph.vertices(), key=lambda v: -gamma[v])
+    budget = guard.ACTIVE
+    with obs.span("core_app.run", h=h, n=n) as sp:
+        gamma = _gamma_bounds(graph, h)
+        ordered = sorted(graph.vertices(), key=lambda v: -gamma[v])
 
-    kmax = 0
-    best_core: set[Vertex] = set()
-    size = min(max(initial_size, 1), n)
-    rounds = 0
+        kmax = 0
+        best_core: set[Vertex] = set()
+        size = min(max(initial_size, 1), n)
+        rounds = 0
 
-    while True:
-        rounds += 1
-        prefix = ordered[:size]
-        subgraph = graph.subgraph(prefix)
-        sub_kmax, sub_core = _kmax_core_at_least(subgraph, h, kmax + 1)
-        if sub_kmax > kmax:
-            kmax = sub_kmax
-            best_core = sub_core
-        # Stopping criterion (line 4): every vertex outside W has a
-        # clique-degree upper bound below the best kmax found, so its
-        # clique-core number cannot reach kmax.
-        if size >= n:
-            break
-        max_outside = gamma[ordered[size]]
-        if max_outside < kmax:
-            break
-        size = min(size * 2, n)
+        while True:
+            if budget is not None:
+                budget.tick_round("core_app.round")
+            rounds += 1
+            prefix = ordered[:size]
+            subgraph = graph.subgraph(prefix)
+            sub_kmax, sub_core = _kmax_core_at_least(subgraph, h, kmax + 1)
+            if sub_kmax > kmax:
+                kmax = sub_kmax
+                best_core = sub_core
+            # Stopping criterion (line 4): every vertex outside W has a
+            # clique-degree upper bound below the best kmax found, so its
+            # clique-core number cannot reach kmax.
+            if size >= n:
+                break
+            max_outside = gamma[ordered[size]]
+            if max_outside < kmax:
+                break
+            size = min(size * 2, n)
+        sp.attrs.update(kmax=kmax, rounds=rounds)
 
-    if not best_core:
-        return DensestSubgraphResult(set(graph.vertices()), 0.0, "CoreApp")
+        if not best_core:
+            return DensestSubgraphResult(set(graph.vertices()), 0.0, "CoreApp")
 
-    # Polish: the best core found inside a prefix G[W] can miss vertices
-    # of G whose clique-core number also reaches kmax.  Only vertices
-    # with γ >= kmax are eligible, so one more peel over that (small)
-    # candidate set yields exactly the (kmax, Ψ)-core of G -- making
-    # CoreApp return the same subgraph as IncApp, as the paper states.
-    eligible = [v for v in graph if gamma[v] >= kmax]
-    if len(eligible) > len(best_core):
-        _, polished = _kmax_core_at_least(graph.subgraph(eligible), h, kmax)
-        if polished:
-            best_core = polished
+        # Polish: the best core found inside a prefix G[W] can miss vertices
+        # of G whose clique-core number also reaches kmax.  Only vertices
+        # with γ >= kmax are eligible, so one more peel over that (small)
+        # candidate set yields exactly the (kmax, Ψ)-core of G -- making
+        # CoreApp return the same subgraph as IncApp, as the paper states.
+        eligible = [v for v in graph if gamma[v] >= kmax]
+        if len(eligible) > len(best_core):
+            _, polished = _kmax_core_at_least(graph.subgraph(eligible), h, kmax)
+            if polished:
+                best_core = polished
 
-    core_graph = graph.subgraph(best_core)
-    density = CliqueIndex(core_graph, h).m / core_graph.num_vertices
+        core_graph = graph.subgraph(best_core)
+        density = CliqueIndex(core_graph, h).m / core_graph.num_vertices
     return DensestSubgraphResult(
         vertices=set(best_core),
         density=density,
@@ -119,55 +125,28 @@ def core_app_densest(
 def _kmax_core_at_least(graph: Graph, h: int, floor: int) -> tuple[int, set[Vertex]]:
     """(kmax, kmax-core vertices) of ``graph``, reported only if >= floor.
 
-    Implements lines 5-14 of Algorithm 6: peel G[W] bottom-up over the
-    instance index's flat incidence arrays (the same Batagelj–Zaveršnik
-    array bucket queue as the full decomposition).  Only cores with
-    number >= ``floor`` matter, so the peel returns (0, empty) when the
-    deepest core falls short.
+    Implements lines 5-14 of Algorithm 6: the (k, Ψ)-core numbers of
+    G[W] from its instance index -- level by level with numpy
+    (:func:`repro.core.kcore.level_peel`), through the Algorithm-3
+    bucket peel without it.  kmax is the largest core number and its
+    core is every vertex that reaches it.  Only cores with number >=
+    ``floor`` matter, so the peel returns (0, empty) when the deepest
+    core falls short.
     """
     index = CliqueIndex(graph, h)
-    labels = index.vertices
-    n = len(labels)
-    deg = list(index.base_degree)
-    max_deg = max(deg, default=0)
-    if max_deg == 0:
-        return 0, set()
-    inst, inc_start, inc_ids = index.inst, index.inc_start, index.inc_ids
-    alive = index.alive
-
-    position, order, bin_ptr = degree_bucket_queue(deg)
-
-    removed = bytearray(n)
-    kmax = 0
-    kmax_at = 0  # peel step where kmax was last raised
-    for i in range(n):
-        vi = order[i]
-        dv = deg[vi]
-        if dv > kmax:
-            # every vertex still unpeeled (vi included) survives at
-            # level `dv`: they form the (dv, Ψ)-core of G[W].
-            kmax = dv
-            kmax_at = i
-        removed[vi] = 1
-        for pos in range(inc_start[vi], inc_start[vi + 1]):
-            iid = inc_ids[pos]
-            if not alive[iid]:
-                continue
-            alive[iid] = 0
-            for k in range(iid * h, iid * h + h):
-                ui = inst[k]
-                if not removed[ui] and deg[ui] > dv:
-                    du = deg[ui]
-                    first = bin_ptr[du]
-                    w = order[first]
-                    if w != ui:
-                        pu = position[ui]
-                        order[first], order[pu] = ui, w
-                        position[ui], position[w] = first, pu
-                    bin_ptr[du] += 1
-                    deg[ui] = du - 1
+    if np is not None:
+        core = level_peel(
+            np.asarray(index.inc_start, dtype=np.int64),
+            np.asarray(index.inc_ids, dtype=np.int64),
+            index.rows_array(),
+        ).tolist()
+    else:
+        n = len(index.vertices)
+        core, _, _, _ = accel.bucket_peel(
+            index.inst, index.inc_start, index.inc_ids, list(index.base_degree),
+            index.alive, bytearray(b"\x01") * n, h, n, index.m,
+        )
+    kmax = max(core, default=0)
     if kmax < floor:
         return 0, set()
-    # the processed prefix of `order` is final once passed, so the
-    # survivors at step `kmax_at` are exactly order[kmax_at:]
-    return kmax, {labels[order[j]] for j in range(kmax_at, n)}
+    return kmax, {v for v, c in zip(index.vertices, core) if c >= kmax}

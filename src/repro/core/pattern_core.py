@@ -27,6 +27,7 @@ from ..patterns.degree import c4_degrees, star_degrees, two_paths_by_endpoint
 from ..patterns.isomorphism import Instance, enumerate_pattern_instances, instance_vertices
 from ..patterns.pattern import Pattern
 from .clique_core import CliqueCoreResult, peel_index_decomposition
+from .peel import residual_vertices
 
 
 def pattern_index(
@@ -142,7 +143,8 @@ def star_peel_densest(graph: Graph, tails: int) -> tuple[set[Vertex], float, int
     mu = sum(degree.values()) // (tails + 1)
     alive = set(work.vertices())
     best_density = mu / n
-    best_vertices = set(alive)
+    best_step = 0
+    removed: list[Vertex] = []
     heap = [(d, str(v), v) for v, d in degree.items()]
     heapq.heapify(heap)
     iterations = 0
@@ -152,6 +154,7 @@ def star_peel_densest(graph: Graph, tails: int) -> tuple[set[Vertex], float, int
             d, _, v = heapq.heappop(heap)
             if v in alive and degree[v] == d:
                 break
+        removed.append(v)
         mu -= degree[v]
         y = work.degree(v)
         for u in list(work.neighbors(v)):
@@ -169,8 +172,8 @@ def star_peel_densest(graph: Graph, tails: int) -> tuple[set[Vertex], float, int
         density = mu / len(alive)
         if density > best_density:
             best_density = density
-            best_vertices = set(alive)
-    return best_vertices, best_density, iterations
+            best_step = iterations
+    return residual_vertices(graph, removed, best_step), best_density, iterations
 
 
 def c4_peel_densest(graph: Graph) -> tuple[set[Vertex], float, int]:
@@ -189,7 +192,8 @@ def c4_peel_densest(graph: Graph) -> tuple[set[Vertex], float, int]:
     mu = sum(degree.values()) // 4
     alive = set(work.vertices())
     best_density = mu / n
-    best_vertices = set(alive)
+    best_step = 0
+    removed: list[Vertex] = []
     heap = [(d, str(v), v) for v, d in degree.items()]
     heapq.heapify(heap)
     iterations = 0
@@ -199,6 +203,7 @@ def c4_peel_densest(graph: Graph) -> tuple[set[Vertex], float, int]:
             d, _, v = heapq.heappop(heap)
             if v in alive and degree[v] == d:
                 break
+        removed.append(v)
         mu -= degree[v]
         paths = two_paths_by_endpoint(work, v)
         for u, p in paths.items():
@@ -214,8 +219,8 @@ def c4_peel_densest(graph: Graph) -> tuple[set[Vertex], float, int]:
         density = mu / len(alive)
         if density > best_density:
             best_density = density
-            best_vertices = set(alive)
-    return best_vertices, best_density, iterations
+            best_step = iterations
+    return residual_vertices(graph, removed, best_step), best_density, iterations
 
 
 def fast_pattern_mu(graph: Graph, pattern: Pattern) -> Optional[int]:

@@ -33,7 +33,6 @@ ARTEFACT_ORDER = [
     "ablation_solvers",
     "ablation_construct_plus",
     "ablation_coreapp_prefix",
-    "ablation_csr",
 ]
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ..cliques.enumeration import CliqueIndex
 from ..core.exact import DensestSubgraphResult
-from ..core.peel import min_degree_peel
+from ..core.peel import min_degree_peel, residual_vertices
 from ..graph.graph import Graph
 
 
@@ -40,16 +40,18 @@ def densest_at_least(graph: Graph, k: int, h: int = 2) -> DensestSubgraphResult:
         raise ValueError("k must be positive")
     index = CliqueIndex(graph, h)
     best_density = index.num_alive / n if n else 0.0
-    best_vertices = set(graph.vertices())
-    for _, alive, num_alive in min_degree_peel(graph, index):
+    best_step = 0
+    removed: list = []
+    for v, alive, num_alive in min_degree_peel(graph, index):
         if len(alive) < k:
             break
+        removed.append(v)
         density = num_alive / len(alive)
         if density > best_density:
             best_density = density
-            best_vertices = set(alive)
+            best_step = len(removed)
     return DensestSubgraphResult(
-        vertices=best_vertices,
+        vertices=residual_vertices(graph, removed, best_step),
         density=best_density,
         method=f"DensestAtLeast({k})",
     )
@@ -66,19 +68,20 @@ def densest_at_most(graph: Graph, k: int, h: int = 2) -> DensestSubgraphResult:
     if k < 1:
         raise ValueError("k must be positive")
     index = CliqueIndex(graph, h)
-    best_density = -1.0
-    best_vertices: set = set()
-    if n <= k and n:
-        best_density = index.num_alive / n
-        best_vertices = set(graph.vertices())
-    for _, alive, num_alive in min_degree_peel(graph, index):
-        if alive and len(alive) <= k:
+    # the whole graph (step 0) competes only when it fits; once n > k a
+    # residual of at most k vertices always beats -1
+    best_density = index.num_alive / n if 0 < n <= k else -1.0
+    best_step = 0
+    removed: list = []
+    for v, alive, num_alive in min_degree_peel(graph, index):
+        removed.append(v)
+        if len(alive) <= k:
             density = num_alive / len(alive)
             if density > best_density:
                 best_density = density
-                best_vertices = set(alive)
+                best_step = len(removed)
     return DensestSubgraphResult(
-        vertices=best_vertices,
+        vertices=residual_vertices(graph, removed, best_step),
         density=max(best_density, 0.0),
         method=f"DensestAtMost({k})",
     )

@@ -2,14 +2,104 @@
 
 import pytest
 
+from repro import guard
 from repro.cliques.enumeration import CliqueIndex, count_cliques
+from repro.core import core_app, kcore
 from repro.core.core_app import core_app_densest
 from repro.core.core_exact import core_exact_densest
 from repro.core.inc_app import inc_app_densest
-from repro.core.peel import peel_densest
+from repro.core.pattern_core import pattern_index
+from repro.core.peel import min_degree_peel, peel_densest
+from repro.graph.generators import holme_kim, planted_clique
 from repro.graph.graph import Graph, complete_graph
+from repro.patterns.pattern import get_pattern
 
 from .conftest import random_graph
+
+
+def _reference_peel(graph, index, max_steps=None):
+    """PeelApp's loop as it was: copy the live set on every improvement.
+
+    Returns ``(vertices, density, iterations, improving_steps)`` over
+    at most ``max_steps`` removals.
+    """
+    n = graph.num_vertices
+    if not index.m:
+        return set(graph.vertices()), 0.0, 0, 0
+    best_density = index.num_alive / n
+    best_vertices = set(graph.vertices())
+    iterations = improving = 0
+    for _, alive, num_alive in min_degree_peel(graph, index):
+        if iterations == max_steps:
+            break
+        iterations += 1
+        density = num_alive / len(alive)
+        if density > best_density:
+            best_density = density
+            best_vertices = set(alive)
+            improving += 1
+    return best_vertices, best_density, iterations, improving
+
+
+def _assert_peel_matches_reference(graph, h, make_index=CliqueIndex):
+    """``make_index(graph, h)`` builds each side's (consumed) index."""
+    result = peel_densest(graph, h, index=make_index(graph, h), check_density=False)
+    vertices, density, iterations, improving = _reference_peel(graph, make_index(graph, h))
+    assert result.vertices == vertices
+    assert result.density == density
+    assert result.iterations == iterations
+    return improving
+
+
+class TestPeelAppBestStep:
+    """PeelApp rebuilds its best residual from the removal order; it must
+    return exactly what copying the live set on every improvement did."""
+
+    @pytest.mark.parametrize("h", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_graphs(self, seed, h):
+        g = random_graph(20 + seed % 15, 50 + 3 * seed, seed=seed)
+        _assert_peel_matches_reference(g, h)
+
+    @pytest.mark.parametrize("name", ["diamond", "2-star", "triangle"])
+    def test_explicit_instance_index(self, name):
+        # the pattern path: instances passed in, not enumerated
+        pattern = get_pattern(name)
+        for seed in range(5):
+            g = random_graph(16, 45, seed=seed + 60)
+            _assert_peel_matches_reference(
+                g, pattern.size, lambda graph, _: pattern_index(graph, pattern)
+            )
+
+    @pytest.mark.parametrize("h", [2, 3])
+    def test_density_rising_at_almost_every_step(self, h):
+        g, _ = planted_clique(holme_kim(2000, 3, 0.5, seed=3), 30, seed=4)
+        improving = _assert_peel_matches_reference(g, h)
+        assert improving >= 0.9 * (g.num_vertices - 1)
+
+    @pytest.mark.parametrize("rounds", [0, 1, 7, 40])
+    def test_budget_incumbent_is_the_best_step_so_far(self, monkeypatch, rounds):
+        """Expire the budget at a fixed round: the attached incumbent is the
+        reference's live set at its best step among the rounds that ran."""
+        g = random_graph(60, 260, seed=9)
+        raised = []
+
+        def tick_round(budget, site="peel.round"):
+            if budget.rounds == rounds:
+                raised.append(guard.BudgetExceeded(site, "test expiry", budget))
+                raise raised[-1]
+            budget.rounds += 1
+
+        monkeypatch.setattr(guard.Budget, "tick_round", tick_round)
+        with guard.Budget(deadline_s=3600.0):
+            result = peel_densest(g, 3)
+        vertices, density, iterations, _ = _reference_peel(g, CliqueIndex(g, 3), rounds)
+        (exc,) = raised
+        assert exc.incumbent == vertices == result.vertices
+        assert exc.incumbent_density == density == result.density
+        assert result.iterations == iterations == rounds
+        assert result.stats["degraded"] is True
+        assert result.stats["degraded_incumbent"] == "partial-peel"
 
 
 class TestPeelApp:
@@ -82,6 +172,23 @@ class TestIncApp:
     def test_no_instances(self):
         result = inc_app_densest(Graph([(0, 1)]), 3)
         assert result.density == 0.0
+
+
+class TestCoreAppNumpyPaths:
+    """The level-synchronous numpy peels (k-core and prefix cores) must give
+    the loops' vertex sets, densities and stats."""
+
+    @pytest.mark.parametrize("h", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(50))
+    def test_numpy_on_and_off_agree(self, monkeypatch, seed, h):
+        g = random_graph(30 + seed % 20, 90 + 4 * seed, seed=seed + 500)
+        on = core_app_densest(g, h, initial_size=8)
+        monkeypatch.setattr(kcore, "np", None)
+        monkeypatch.setattr(core_app, "np", None)
+        off = core_app_densest(g, h, initial_size=8)
+        assert on.vertices == off.vertices
+        assert on.density == off.density
+        assert on.stats == off.stats
 
 
 class TestCoreApp:

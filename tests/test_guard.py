@@ -282,6 +282,18 @@ class TestApiFallback:
         assert res.density == pytest.approx(subgraph_density(g, res.vertices, 2))
         assert clean.density <= res.stats["density_upper_bound"] + 1e-9
 
+    def test_core_app_dead_budget_falls_back_to_peel(self):
+        """CoreApp checkpoints each prefix round: an expired budget stops
+        it and the api answers with the peel approximation."""
+        g = random_graph(60, 260, seed=33)
+        with guard.Budget(deadline_s=0.0) as b:
+            res = densest_subgraph(g, 3, method="core-app")
+        assert res.stats["fallback"] == "peel"
+        assert res.stats["degraded_at"] == "core_app.round"
+        assert b.expired[0] == "core_app.round"
+        assert res.vertices == peel_densest(g, 3).vertices
+        assert res.density == pytest.approx(subgraph_density(g, res.vertices, 3))
+
     def test_pattern_method_budget_propagates_to_fallback(self):
         g = random_graph(30, 120, seed=37)
         with guard.Budget(deadline_s=0.0):

@@ -186,6 +186,32 @@ def test_flow_build_and_cut_spans_nest_under_core_exact_flow(tmp_path):
     assert validate_main([str(path)]) == 0
 
 
+def test_core_app_spans_nest_the_kcore_under_the_run(tmp_path):
+    """CoreApp's trace separates its k-core from its prefix peels:
+    ``kcore.decomposition`` nests under ``core_app.run``, which records
+    the answer's kmax and round count."""
+    from repro.core.core_app import core_app_densest
+    from repro.obs.validate import main as validate_main
+
+    graph = _random_graph(80, 400, seed=6)
+    path = tmp_path / "trace.jsonl"
+    obs.enable(sink=str(path))
+    result = core_app_densest(graph, 3, initial_size=8)
+    obs.close()
+    col = obs.get_collector()
+    (run,) = col.spans("core_app.run")
+    (kcore_sp,) = col.spans("kcore.decomposition")
+    assert kcore_sp["parent"] == "core_app.run"
+    assert run["t0_s"] <= kcore_sp["t0_s"] <= run["t0_s"] + run["dur_s"]
+    assert kcore_sp["attrs"]["n"] == run["attrs"]["n"] == graph.num_vertices
+    assert run["attrs"]["h"] == 3
+    assert run["attrs"]["kmax"] == result.stats["kmax"] > 0
+    assert run["attrs"]["rounds"] == result.stats["rounds"]
+    for sp in col.spans("cliques.index.build"):
+        assert sp["parent"] == "core_app.run"
+    assert validate_main([str(path)]) == 0
+
+
 def test_summary_flow_rollup_consistent():
     graph = _random_graph(60, 260, seed=5)
     obs.enable()

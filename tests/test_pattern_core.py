@@ -102,6 +102,52 @@ class TestFastPaths:
         assert c4_core_decomposition(Graph()) == {}
 
 
+def _reference_fast_peel(graph, degrees_of, size):
+    """The fast peels' contract, naively: recount every pattern-degree
+    after each removal, peel the minimum ``(degree, str(v))``, and copy
+    the live set whenever the density improves."""
+    if not graph.num_vertices:
+        return set(), 0.0, 0
+    work = graph.copy()
+    degree = degrees_of(work)
+    best_density = sum(degree.values()) // size / work.num_vertices
+    best_vertices = set(work.vertices())
+    iterations = 0
+    while work.num_vertices > 1:
+        iterations += 1
+        work.remove_vertex(min(work.vertices(), key=lambda u: (degree[u], str(u))))
+        degree = degrees_of(work)
+        density = sum(degree.values()) // size / work.num_vertices
+        if density > best_density:
+            best_density = density
+            best_vertices = set(work.vertices())
+    return best_vertices, best_density, iterations
+
+
+class TestFastPeelsMatchReference:
+    """The star/C4 peels rebuild their best residual from the removal
+    order; vertex set, density and iteration count must equal the
+    copy-on-improvement reference."""
+
+    @pytest.mark.parametrize("tails", [2, 3])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_star(self, seed, tails):
+        from repro.core.pattern_core import star_peel_densest
+        from repro.patterns.degree import star_degrees
+
+        g = random_graph(14 + seed % 10, 30 + 2 * seed, seed=seed)
+        expected = _reference_fast_peel(g, lambda w: star_degrees(w, tails), tails + 1)
+        assert star_peel_densest(g, tails) == expected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_diamond(self, seed):
+        from repro.core.pattern_core import c4_peel_densest
+        from repro.patterns.degree import c4_degrees
+
+        g = random_graph(14 + seed % 10, 30 + 2 * seed, seed=seed)
+        assert c4_peel_densest(g) == _reference_fast_peel(g, c4_degrees, 4)
+
+
 class TestFastPeels:
     @pytest.mark.parametrize("tails", [2, 3])
     def test_star_peel_within_guarantee(self, tails):
