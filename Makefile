@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-checked test-clique-index bench-smoke bench ablation bench-accel bench-serve trace-smoke chaos-smoke lint lint-deep typecheck
+.PHONY: test test-checked test-clique-index test-patterns bench-smoke bench ablation bench-accel bench-serve trace-smoke chaos-smoke lint lint-deep typecheck
 
 test:
 	$(PY) -m pytest -x -q
@@ -18,6 +18,12 @@ test-checked:
 # REPRO_NO_NUMPY=1 to pin the pure-python kernel path explicitly).
 test-clique-index:
 	$(PY) -m pytest tests/test_clique_index.py -q
+
+# The pattern suites on their own: the row enumerator, the PDS solvers
+# and flow builders, the pattern cores (CI also runs them with
+# REPRO_NO_NUMPY=1 to pin the pure-python builder path).
+test-patterns:
+	$(PY) -m pytest tests/test_patterns.py tests/test_pds.py tests/test_pattern_core.py -q
 
 # One tiny bench per family (figure, table, ablation) at a reduced
 # dataset scale, under a hard time cap -- perf regressions fail loudly

@@ -1,7 +1,9 @@
 """Benchmark-suite configuration.
 
-Each ``bench_*.py`` file regenerates one table or figure of the paper
-(the mapping is in DESIGN.md §4).  Every bench
+Each ``bench_*.py`` file regenerates one table or figure of the paper,
+named in the file name (``bench_fig8_exact.py`` is Figure 8's exact
+half, ``bench_table3_decomp_share.py`` Table 3), or runs an ablation
+(``bench_ablation_*.py``).  Every bench
 
 * times a representative algorithm call with pytest-benchmark, and
 * regenerates the artefact's rows, printing them and writing them to

@@ -42,6 +42,13 @@ ENTRY_POINTS: dict[str, tuple[str, ...]] = {
     "core/core_exact.py": ("core_exact_densest",),
     "core/peel.py": ("peel_densest",),
     "core/core_app.py": ("core_app_densest",),
+    "core/pds.py": (
+        "p_exact_densest",
+        "core_p_exact_densest",
+        "pattern_peel_densest",
+        "pattern_inc_app_densest",
+        "pattern_core_app_densest",
+    ),
     "serve/__init__.py": ("get_snapshot", "batch_densest"),
 }
 

@@ -204,8 +204,7 @@ def densest_subgraph(
             result = snapshot.densest_subgraph()
         if guard.CHECK:
             sanitize.check_result_density(
-                graph, result.vertices, pattern.size, result.density,
-                "densest_subgraph",
+                graph, result.vertices, pattern, result.density, "densest_subgraph"
             )
         return result
     if method == "auto":
@@ -281,8 +280,8 @@ def densest_subgraph(
                     if k in result.stats
                 }
                 result = _peel_fallback(graph, pattern, degraded_info, None, 0.0)
-    if guard.CHECK and pattern.is_clique():
+    if guard.CHECK:
         sanitize.check_result_density(
-            graph, result.vertices, pattern.size, result.density, "densest_subgraph"
+            graph, result.vertices, pattern, result.density, "densest_subgraph"
         )
     return result

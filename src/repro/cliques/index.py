@@ -26,15 +26,25 @@ serve a core decomposition, a peel, and the flow builders of the same
 call without re-enumeration; :meth:`subindex` restricts it to an
 induced subgraph (CoreExact's located components) by row selection
 instead of re-enumeration.
+
+The same arrays hold the instances of a general pattern Ψ (Section 7):
+built with ``pattern=``, a row is one instance as the symmetry-broken
+matcher of :mod:`repro.patterns.isomorphism` emits it, and every
+consumer above -- peels, core decompositions, flow builders -- runs on
+it unchanged.  The exact solvers read :attr:`CliqueIndex.pattern` to
+pick the PDS flow networks over the CDS ones.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterator, Optional, Sequence
+from itertools import chain
+from typing import Iterator, Optional, Sequence, Union
 
 from .. import obs
 from ..graph.graph import Graph, Vertex
+from ..patterns.isomorphism import enumerate_pattern_instances
+from ..patterns.pattern import Pattern
 from . import kernels
 
 
@@ -50,13 +60,16 @@ class CliqueIndex:
     h:
         Instance size: every row has exactly ``h`` vertices.
     instances:
-        Optional explicit instance tuples (the pattern algorithms pass
-        their isomorphism matches here, duplicates preserved).  When
-        omitted, the h-cliques of ``graph`` are enumerated with the
-        fastest available kernel.
+        Optional explicit instance tuples of vertex labels, duplicates
+        preserved.  When omitted, the h-cliques of ``graph`` are
+        enumerated with the fastest available kernel.
     use_numpy:
         Force the enumeration kernel (``None`` auto-selects); only
         meaningful when ``instances`` is omitted.
+    pattern:
+        Index the instances of this pattern (``h`` must be its size)
+        instead of the h-cliques: the matcher's id rows are the index
+        rows as they come, and :attr:`pattern` keeps the motif.
 
     ``build_seconds`` keeps how long the build took (the
     ``cliques.index.build`` span; for a :meth:`subindex`, the row
@@ -76,6 +89,7 @@ class CliqueIndex:
         "alive",
         "num_alive",
         "canonical",
+        "pattern",
         "build_seconds",
         "_np_rows",
     )
@@ -86,14 +100,25 @@ class CliqueIndex:
         h: int,
         instances: Optional[Sequence[tuple[Vertex, ...]]] = None,
         use_numpy: Optional[bool] = None,
+        pattern: Optional[Pattern] = None,
     ):
+        if pattern is not None and pattern.size != h:
+            raise ValueError(
+                f"pattern {pattern.name!r} has {pattern.size} vertices, expected h={h}"
+            )
         self.h = h
+        self.pattern = pattern
         self.vertices: list[Vertex] = list(graph)
         id_of = {v: i for i, v in enumerate(self.vertices)}
         self._id_of = id_of
 
         with obs.span("cliques.index.build", h=h, n=len(self.vertices)) as sp:
-            if instances is None:
+            if pattern is not None:
+                rows = enumerate_pattern_instances(graph, pattern)
+                self.inst = list(chain.from_iterable(rows))
+                self.canonical = False
+                kernel = "pattern"
+            elif instances is None:
                 self.inst: list[int] = kernels.clique_rows(graph, h, id_of, use_numpy)
                 self.canonical = True
                 kernel = kernels.LAST_KERNEL
@@ -169,6 +194,11 @@ class CliqueIndex:
     def num_instances(self) -> int:
         """Total instance count ``m_Ψ`` (alive or not)."""
         return self.m
+
+    @property
+    def motif(self) -> Union[int, Pattern]:
+        """What the rows are instances of: the pattern, or ``h`` for h-cliques."""
+        return self.h if self.pattern is None else self.pattern
 
     def id_of(self, v: Vertex) -> int:
         """Internal id of an external vertex label."""
@@ -276,6 +306,7 @@ class CliqueIndex:
         start = time.perf_counter()
         sub = CliqueIndex.__new__(CliqueIndex)
         sub.h = self.h
+        sub.pattern = self.pattern
         sub.vertices = list(subgraph)
         sub_id_of = {v: i for i, v in enumerate(sub.vertices)}
         sub._id_of = sub_id_of

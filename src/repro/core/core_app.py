@@ -42,6 +42,7 @@ def core_app_densest(
     h: int = 2,
     *,
     initial_size: int = 64,
+    index: CliqueIndex | None = None,
 ) -> DensestSubgraphResult:
     """Algorithm 6: compute the (kmax, Ψ)-core top-down.
 
@@ -53,6 +54,12 @@ def core_app_densest(
         Size of the first vertex prefix W (doubled each round).  The
         paper leaves this unspecified; 64 keeps early rounds cheap while
         converging in O(log n) rounds.
+    index:
+        Optional pre-built instance index of ``graph`` (the pattern
+        CoreApp passes its pattern-instance index).  γ is then the
+        exact Ψ-degree, a sound bound on the core number (property 3
+        of Section 5.1), and each prefix is peeled over a row selection
+        of the index instead of a fresh enumeration.
 
     Returns
     -------
@@ -69,7 +76,7 @@ def core_app_densest(
 
     budget = guard.ACTIVE
     with obs.span("core_app.run", h=h, n=n) as sp:
-        gamma = _gamma_bounds(graph, h)
+        gamma = _gamma_bounds(graph, h) if index is None else index.initial_degrees()
         ordered = sorted(graph.vertices(), key=lambda v: -gamma[v])
 
         kmax = 0
@@ -83,7 +90,7 @@ def core_app_densest(
             rounds += 1
             prefix = ordered[:size]
             subgraph = graph.subgraph(prefix)
-            sub_kmax, sub_core = _kmax_core_at_least(subgraph, h, kmax + 1)
+            sub_kmax, sub_core = _kmax_core_at_least(subgraph, h, kmax + 1, index)
             if sub_kmax > kmax:
                 kmax = sub_kmax
                 best_core = sub_core
@@ -108,12 +115,14 @@ def core_app_densest(
         # CoreApp return the same subgraph as IncApp, as the paper states.
         eligible = [v for v in graph if gamma[v] >= kmax]
         if len(eligible) > len(best_core):
-            _, polished = _kmax_core_at_least(graph.subgraph(eligible), h, kmax)
+            _, polished = _kmax_core_at_least(graph.subgraph(eligible), h, kmax, index)
             if polished:
                 best_core = polished
 
-        core_graph = graph.subgraph(best_core)
-        density = CliqueIndex(core_graph, h).m / core_graph.num_vertices
+        if index is None:
+            density = CliqueIndex(graph.subgraph(best_core), h).m / len(best_core)
+        else:
+            density = index.density_within(best_core)
     return DensestSubgraphResult(
         vertices=set(best_core),
         density=density,
@@ -122,7 +131,9 @@ def core_app_densest(
     )
 
 
-def _kmax_core_at_least(graph: Graph, h: int, floor: int) -> tuple[int, set[Vertex]]:
+def _kmax_core_at_least(
+    graph: Graph, h: int, floor: int, parent: CliqueIndex | None = None
+) -> tuple[int, set[Vertex]]:
     """(kmax, kmax-core vertices) of ``graph``, reported only if >= floor.
 
     Implements lines 5-14 of Algorithm 6: the (k, Ψ)-core numbers of
@@ -131,9 +142,10 @@ def _kmax_core_at_least(graph: Graph, h: int, floor: int) -> tuple[int, set[Vert
     bucket peel without it.  kmax is the largest core number and its
     core is every vertex that reaches it.  Only cores with number >=
     ``floor`` matter, so the peel returns (0, empty) when the deepest
-    core falls short.
+    core falls short.  The index of G[W] is a row selection of
+    ``parent`` when one is given, else a fresh clique enumeration.
     """
-    index = CliqueIndex(graph, h)
+    index = CliqueIndex(graph, h) if parent is None else parent.subindex(graph)
     if np is not None:
         core = level_peel(
             np.asarray(index.inc_start, dtype=np.int64),

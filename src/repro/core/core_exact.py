@@ -35,6 +35,8 @@ from ..flow.builders import (
     build_cds_parametric,
     build_eds_network,
     build_eds_parametric,
+    build_pds_network_grouped,
+    build_pds_parametric,
     vertices_of_cut,
 )
 from ..graph.graph import Graph, Vertex
@@ -50,7 +52,9 @@ class _ComponentState:
     rebuilt whenever CoreExact shrinks the component to a higher core.
     With the parametric engines the α-parametric flow network is
     likewise built once per shrink (straight from the instance rows)
-    and re-solved; ``"rebuild"`` reconstructs it per iteration.
+    and re-solved; ``"rebuild"`` reconstructs it per iteration.  A
+    pattern-instance index gets the ``construct+`` network (Algorithm
+    7) instead of Algorithm 1's.
     """
 
     def __init__(
@@ -79,6 +83,8 @@ class _ComponentState:
     def build_network(self, alpha: float):
         if self.h == 2:
             return build_eds_network(self.graph, alpha)
+        if self.index.pattern is not None:
+            return build_pds_network_grouped(self.index, alpha)
         return build_cds_network(self.graph, self.h, alpha, index=self.index)
 
     def solve(self, alpha: float) -> set[Vertex]:
@@ -101,6 +107,8 @@ class _ComponentState:
         if self._net is None:
             if self.h == 2:
                 self._net = build_eds_parametric(self.graph)
+            elif self.index.pattern is not None:
+                self._net = build_pds_parametric(self.index, grouped=True)
             else:
                 self._net = build_cds_parametric(self.graph, self.h, index=self.index)
         return self._net
@@ -327,7 +335,9 @@ def core_exact_densest(
         (the API layer builds one per call).  Built here when omitted
         (h >= 3); it feeds the decomposition, every component state
         (via row-selecting subindexes) and the flow builders, so the
-        clique instances of a call are enumerated exactly once.
+        clique instances of a call are enumerated exactly once.  A
+        pattern-instance index makes this CorePExact: pattern-cores
+        locate the answer and ``construct+`` networks find it.
 
     Returns
     -------
@@ -507,7 +517,8 @@ def core_exact_densest(
             )
         )
     if guard.CHECK:
+        motif = h if index is None else index.motif
         sanitize.check_result_density(
-            graph, result.vertices, h, result.density, "core_exact_densest"
+            graph, result.vertices, motif, result.density, "core_exact_densest"
         )
     return result

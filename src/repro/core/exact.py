@@ -22,6 +22,8 @@ from ..flow.builders import (
     build_cds_parametric,
     build_eds_network,
     build_eds_parametric,
+    build_pds_network,
+    build_pds_parametric,
     vertices_of_cut,
 )
 from ..graph.graph import Graph, Vertex
@@ -112,7 +114,9 @@ def exact_densest(
     index:
         Optional pre-built, unpeeled :class:`CliqueIndex` of
         ``graph`` for this ``h`` (the API layer builds one per call and
-        threads it through).  Built here when omitted (h >= 3).
+        threads it through).  Built here when omitted (h >= 3).  A
+        pattern-instance index makes this PExact (Algorithm 8): the
+        flow networks get one node per instance row.
 
     Returns
     -------
@@ -157,6 +161,8 @@ def exact_densest(
         if flow_engine != "rebuild":
             if h == 2:
                 net = build_eds_parametric(graph)
+            elif index.pattern is not None:
+                net = build_pds_parametric(index)
             else:
                 net = build_cds_parametric(graph, h, index=index)
 
@@ -198,6 +204,8 @@ def exact_densest(
                     else:
                         if h == 2:
                             network = build_eds_network(graph, alpha)
+                        elif index.pattern is not None:
+                            network = build_pds_network(index, alpha)
                         else:
                             network = build_cds_network(graph, h, alpha, index=index)
                         budget = guard.ACTIVE
@@ -253,5 +261,8 @@ def exact_densest(
             )
         )
     if guard.CHECK:
-        sanitize.check_result_density(graph, result.vertices, h, result.density, "exact_densest")
+        motif = h if index is None else index.motif
+        sanitize.check_result_density(
+            graph, result.vertices, motif, result.density, "exact_densest"
+        )
     return result

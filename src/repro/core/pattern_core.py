@@ -2,10 +2,10 @@
 
 The (k, Ψ)-core for a general pattern Ψ: the largest subgraph in which
 every vertex participates in at least ``k`` pattern instances.  The
-generic route materialises the instance list and reuses the Algorithm-3
-peel; the starred patterns of Figure 7 get the Appendix-D fast paths
-that peel with closed-form degree updates and never materialise
-instances:
+generic route indexes the instance rows (:func:`pattern_index`) and
+reuses the Algorithm-3 peel; the starred patterns of Figure 7 get the
+Appendix-D fast paths that peel with closed-form degree updates and
+never materialise instances:
 
 * **x-star**: removing ``v`` lowers a neighbour ``u`` by
   ``C(deg(v)-1, x-1) + C(deg(u)-1, x-1)`` (stars centred at v with u a
@@ -18,39 +18,27 @@ instances:
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..cliques.enumeration import CliqueIndex
+from .. import guard
+from ..cliques.index import CliqueIndex
 from ..graph.graph import Graph, Vertex
 from ..patterns.degree import c4_degrees, star_degrees, two_paths_by_endpoint
-from ..patterns.isomorphism import Instance, enumerate_pattern_instances, instance_vertices
 from ..patterns.pattern import Pattern
 from .clique_core import CliqueCoreResult, peel_index_decomposition
 from .peel import residual_vertices
 
 
-def pattern_index(
-    graph: Graph, pattern: Pattern, instances: Optional[Sequence[Instance]] = None
-) -> CliqueIndex:
-    """Build a peelable instance index for ``pattern`` over ``graph``."""
-    if instances is None:
-        instances = enumerate_pattern_instances(graph, pattern)
-    tuples = [tuple(instance_vertices(inst)) for inst in instances]
-    return CliqueIndex(graph, pattern.size, instances=tuples)
+def pattern_index(graph: Graph, pattern: Pattern) -> CliqueIndex:
+    """A peelable index of every instance of ``pattern`` in ``graph``."""
+    return CliqueIndex(graph, pattern.size, pattern=pattern)
 
 
-def pattern_core_decomposition(
-    graph: Graph,
-    pattern: Pattern,
-    instances: Optional[Sequence[Instance]] = None,
-) -> CliqueCoreResult:
-    """Pattern-core numbers of all vertices (Algorithm 3 generalised).
-
-    ``instances`` may be passed in when the caller already enumerated
-    them (CorePExact does); otherwise they are enumerated here.
-    """
-    return peel_index_decomposition(graph, pattern_index(graph, pattern, instances))
+def pattern_core_decomposition(graph: Graph, pattern: Pattern) -> CliqueCoreResult:
+    """Pattern-core numbers of all vertices (Algorithm 3 generalised)."""
+    return peel_index_decomposition(graph, pattern_index(graph, pattern))
 
 
 def pattern_core_subgraph(graph: Graph, pattern: Pattern, k: int) -> Graph:
@@ -63,64 +51,99 @@ def pattern_core_subgraph(graph: Graph, pattern: Pattern, k: int) -> Graph:
 # ----------------------------------------------------------------------
 
 
+def _closed_form_cores(graph: Graph, degree: dict, remove) -> dict[Vertex, int]:
+    """Pattern-core numbers by a min-degree peel with closed-form updates.
+
+    ``degree`` holds every vertex's pattern-degree.  The peel runs on
+    dense ids in graph order: ``adj[i]`` is the set of vertex ``i``'s
+    live neighbour ids and ``deg[i]`` its current pattern-degree.
+    ``remove(adj, deg, v, changed)`` lowers the degrees that removing
+    ``v`` costs the survivors, adds each lowered id to the set
+    ``changed``, and unlinks ``v`` from its neighbours.  A lazy-deletion
+    heap keyed on ``(degree, id)`` picks each vertex in O(log n), with
+    one push per lowered vertex and removal; stale entries are skipped
+    on pop.  The tie order is the old linear min-scan's, graph order.
+    A key is the single int ``degree * n + id``: cheaper to push and
+    compare than a tuple.
+    """
+    labels = list(graph)
+    n = len(labels)
+    id_of = {v: i for i, v in enumerate(labels)}
+    adj = [{id_of[u] for u in graph.neighbors(v)} for v in labels]
+    deg = [degree[v] for v in labels]
+    heap = [d * n + i for i, d in enumerate(deg)]
+    heapq.heapify(heap)
+    core = [0] * n
+    removed = bytearray(n)
+    current = 0
+    changed: set[int] = set()
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        d, v = divmod(pop(heap), n)
+        if removed[v] or deg[v] != d:
+            continue
+        current = max(current, d)
+        core[v] = current
+        removed[v] = 1
+        remove(adj, deg, v, changed)
+        for u in changed:
+            push(heap, deg[u] * n + u)
+        changed.clear()
+    return dict(zip(labels, core))
+
+
 def star_core_decomposition(graph: Graph, tails: int) -> dict[Vertex, int]:
     """x-star pattern-core numbers via closed-form degree updates.
 
-    O(n · d²) instead of O(n · dˣ); returns the same numbers as
-    :func:`pattern_core_decomposition` with the x-star pattern (the
+    O(n · d² + n log n) instead of O(n · dˣ); returns the same numbers
+    as :func:`pattern_core_decomposition` with the x-star pattern (the
     test suite verifies the agreement).
     """
     if tails < 2:
         raise ValueError("star fast path needs >= 2 tails")
-    work = graph.copy()
-    degree = star_degrees(work, tails)
-    core: dict[Vertex, int] = {}
-    current = 0
-    while work.num_vertices:
-        v = min(work.vertices(), key=lambda u: degree[u])
-        current = max(current, degree[v])
-        core[v] = current
-        y = work.degree(v)
-        neighbors = list(work.neighbors(v))
-        for u in neighbors:
-            zu = work.degree(u)
-            delta = math.comb(y - 1, tails - 1) + math.comb(zu - 1, tails - 1)
-            degree[u] -= delta
+
+    def remove(adj: list, deg: list, v: int, changed: set) -> None:
+        neighbours = adj[v]
+        y = len(neighbours)
+        for u in neighbours:
+            others = adj[u]
+            zu = len(others)
+            deg[u] -= math.comb(y - 1, tails - 1) + math.comb(zu - 1, tails - 1)
             two_hop_delta = math.comb(zu - 2, tails - 2) if zu >= 2 else 0
             if two_hop_delta:
-                for w in work.neighbors(u):
-                    if w != v:
-                        degree[w] -= two_hop_delta
-        work.remove_vertex(v)
-        degree.pop(v, None)
-    return core
+                for w in others:  # v itself included: it is gone already
+                    deg[w] -= two_hop_delta
+                changed |= others
+        changed |= neighbours
+        changed.discard(v)
+        for u in neighbours:
+            adj[u].discard(v)
+
+    return _closed_form_cores(graph, star_degrees(graph, tails), remove)
 
 
 def c4_core_decomposition(graph: Graph) -> dict[Vertex, int]:
     """C4 ("diamond") pattern-core numbers via 2-path bookkeeping.
 
-    O(n · d²) peel; agrees with the generic decomposition (tested).
+    O(n · d² + n log n) peel; agrees with the generic decomposition
+    (tested).
     """
-    work = graph.copy()
-    degree = c4_degrees(work)
-    core: dict[Vertex, int] = {}
-    current = 0
-    while work.num_vertices:
-        v = min(work.vertices(), key=lambda u: degree[u])
-        current = max(current, degree[v])
-        core[v] = current
-        paths = two_paths_by_endpoint(work, v)
-        for u, p in paths.items():
+
+    def remove(adj: list, deg: list, v: int, changed: set) -> None:
+        neighbours = adj[v]
+        for u, p in two_paths_by_endpoint(adj.__getitem__, v).items():
             if p >= 2:
-                degree[u] -= math.comb(p, 2)
-            if p >= 2:
+                deg[u] -= math.comb(p, 2)
+                changed.add(u)
                 # each common neighbour w of v and u sides p-1 cycles
-                for w in work.neighbors(v):
-                    if w != u and work.has_edge(w, u):
-                        degree[w] -= p - 1
-        work.remove_vertex(v)
-        degree.pop(v, None)
-    return core
+                common = neighbours & adj[u]
+                for w in common:
+                    deg[w] -= p - 1
+                changed |= common
+        for u in neighbours:
+            adj[u].discard(v)
+
+    return _closed_form_cores(graph, c4_degrees(graph), remove)
 
 
 def star_peel_densest(graph: Graph, tails: int) -> tuple[set[Vertex], float, int]:
@@ -129,10 +152,9 @@ def star_peel_densest(graph: Graph, tails: int) -> tuple[set[Vertex], float, int
     Never materialises instances: the instance count of the residual
     graph is ``Σ deg(v, Ψ) / (x + 1)`` (every star spans x+1 vertices),
     and removals adjust degrees by the Appendix-D deltas.  Returns
-    ``(best_vertices, best_density, iterations)``.
+    ``(best_vertices, best_density, iterations)``.  Under an active
+    budget every removal is a ``peel.round`` checkpoint.
     """
-    import heapq
-
     if tails < 2:
         raise ValueError("star fast path needs >= 2 tails")
     n = graph.num_vertices
@@ -148,7 +170,10 @@ def star_peel_densest(graph: Graph, tails: int) -> tuple[set[Vertex], float, int
     heap = [(d, str(v), v) for v, d in degree.items()]
     heapq.heapify(heap)
     iterations = 0
+    budget = guard.ACTIVE
     while len(alive) > 1:
+        if budget is not None:
+            budget.tick_round()
         iterations += 1
         while True:
             d, _, v = heapq.heappop(heap)
@@ -182,8 +207,6 @@ def c4_peel_densest(graph: Graph) -> tuple[set[Vertex], float, int]:
     Same contract as :func:`star_peel_densest`; each cycle spans four
     vertices, so ``μ = Σ deg / 4``.
     """
-    import heapq
-
     n = graph.num_vertices
     if n == 0:
         return set(), 0.0, 0
@@ -197,7 +220,10 @@ def c4_peel_densest(graph: Graph) -> tuple[set[Vertex], float, int]:
     heap = [(d, str(v), v) for v, d in degree.items()]
     heapq.heapify(heap)
     iterations = 0
+    budget = guard.ACTIVE
     while len(alive) > 1:
+        if budget is not None:
+            budget.tick_round()
         iterations += 1
         while True:
             d, _, v = heapq.heappop(heap)
@@ -205,7 +231,7 @@ def c4_peel_densest(graph: Graph) -> tuple[set[Vertex], float, int]:
                 break
         removed.append(v)
         mu -= degree[v]
-        paths = two_paths_by_endpoint(work, v)
+        paths = two_paths_by_endpoint(work.neighbors, v)
         for u, p in paths.items():
             if p >= 2:
                 degree[u] -= math.comb(p, 2)
@@ -229,11 +255,9 @@ def fast_pattern_mu(graph: Graph, pattern: Pattern) -> Optional[int]:
     ``μ = Σ_v deg(v, Ψ) / |V_Ψ|`` because every instance is counted
     once per member vertex.
     """
-    degree_seq = pattern.degrees()
-    size = pattern.size
-    if pattern.num_edges == size - 1 and degree_seq == [1] * (size - 1) + [size - 1]:
-        return sum(star_degrees(graph, size - 1).values()) // size
-    if size == 4 and pattern.num_edges == 4 and degree_seq == [2, 2, 2, 2]:
+    if pattern.star_tails():
+        return sum(star_degrees(graph, pattern.star_tails()).values()) // pattern.size
+    if pattern.is_c4():
         return sum(c4_degrees(graph).values()) // 4
     return None
 
@@ -244,10 +268,8 @@ def fast_pattern_core_decomposition(graph: Graph, pattern: Pattern) -> dict[Vert
     Returns pattern-core numbers; falls back to the generic
     enumeration-based decomposition for unoptimised patterns.
     """
-    degree_seq = pattern.degrees()
-    size = pattern.size
-    if pattern.num_edges == size - 1 and degree_seq == [1] * (size - 1) + [size - 1]:
-        return star_core_decomposition(graph, size - 1)
-    if size == 4 and pattern.num_edges == 4 and degree_seq == [2, 2, 2, 2]:
+    if pattern.star_tails():
+        return star_core_decomposition(graph, pattern.star_tails())
+    if pattern.is_c4():
         return c4_core_decomposition(graph)
     return pattern_core_decomposition(graph, pattern).core

@@ -117,8 +117,6 @@ def peel_densest(
     graph: Graph,
     h: int = 2,
     index: CliqueIndex | None = None,
-    *,
-    check_density: bool = True,
 ) -> DensestSubgraphResult:
     """Algorithm 2 for the h-clique Ψ.
 
@@ -128,13 +126,8 @@ def peel_densest(
         Input graph and clique size (h = 2 recovers Charikar's
         0.5-approximation for edge density).
     index:
-        Optional pre-built instance index (consumed).
-    check_density:
-        Run the ``REPRO_CHECK`` result-density recompute (which counts
-        h-cliques).  Callers that reuse this loop over a *pattern*
-        instance index (:func:`repro.core.pds.pattern_peel_densest`)
-        pass ``False``: their density counts pattern instances, which
-        the h-clique recompute cannot reproduce.
+        Optional pre-built instance index (consumed); a
+        pattern-instance index peels by pattern-degree.
 
     Returns
     -------
@@ -203,6 +196,8 @@ def peel_densest(
                 upper=max_degree / float(h),
             )
         )
-    if guard.CHECK and check_density:
-        sanitize.check_result_density(graph, result.vertices, h, result.density, "peel_densest")
+    if guard.CHECK:
+        sanitize.check_result_density(
+            graph, result.vertices, index.motif, result.density, "peel_densest"
+        )
     return result

@@ -1,4 +1,5 @@
-"""Surrogate dataset registry (see DESIGN.md §5 for substitutions)."""
+"""Surrogate dataset registry: seeded synthetic stand-ins for the
+paper's graphs (the substitutions are listed in :mod:`.registry`)."""
 
 from .registry import DatasetSpec, dataset_names, get_spec, load
 

@@ -9,11 +9,26 @@ structural properties the algorithms are sensitive to: a skewed
 core -- or, for ER, deliberately none of those (the paper uses ER as
 the adversarial case where core-based pruning is weakest).
 
-DESIGN.md §5 records the substitution rationale.  Every surrogate is
-deterministic (fixed seed), so benchmark tables are reproducible run
-to run.  ``load(name, scale=...)`` shrinks or grows a surrogate while
-keeping its family, which is how the benchmark suite trades fidelity
-for wall-clock time.
+The substitutions, by family:
+
+* Netscience, Ca-HepTh, DBLP, Friendster, UK-2002 and Google --
+  Holme–Kim power-law graphs with high clustering and one planted
+  clique, the dense core of co-authorship and social graphs;
+* As-733, As-Caida, Cit-Patents, Enwiki-2017, Flickr and Foursquare --
+  Chung–Lu graphs with a power-law expected degree sequence and little
+  clustering;
+* Yeast and Yeast-PPI -- a sparse Chung–Lu graph with three planted
+  complexes (a clique, a hub star, a K3,x bi-clique), so that edge,
+  star and C4 densities pick different subgraphs (Figure 21);
+* S-DBLP -- a collaboration surrogate plus an advisor hub, so that
+  triangle and 2-star densities pick different subgraphs (Figure 17);
+* SSCA, ER and R-MAT -- the paper's own synthetic generators.
+
+Each surrogate keeps the paper's dataset name and records the original
+size for Table 2.  Every surrogate is deterministic (fixed seed), so
+benchmark tables are reproducible run to run.  ``load(name,
+scale=...)`` shrinks or grows a surrogate while keeping its family,
+which is how the benchmark suite trades fidelity for wall-clock time.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from ..cliques.enumeration import count_cliques
 from ..core.core_exact import core_exact_densest
 from ..core.pds import core_p_exact_densest
 from ..datasets.registry import load
-from ..patterns.isomorphism import count_pattern_instances
+from ..patterns.isomorphism import pattern_density
 from ..patterns.pattern import get_pattern
 
 
@@ -43,10 +43,6 @@ def run(
             pattern = get_pattern(pname)
             result = core_p_exact_densest(graph, pattern)
             row[f"{pname}_rho_opt"] = result.density
-            row[f"{pname}_on_EDS"] = (
-                count_pattern_instances(eds_graph, pattern) / eds_graph.num_vertices
-                if eds_graph.num_vertices
-                else 0.0
-            )
+            row[f"{pname}_on_EDS"] = pattern_density(eds_graph, pattern)
         rows.append(row)
     return rows

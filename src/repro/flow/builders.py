@@ -14,6 +14,10 @@ Four builders, one per construction in the paper:
   arcs ``v -> g`` capacity ``|g|`` and ``g -> v`` capacity
   ``|g|(|V_Ψ| - 1)``.
 
+The two PDS constructions read the id rows of a pattern-instance
+:class:`~repro.cliques.index.CliqueIndex`: a group of ``construct+``
+is a distinct sorted row, weighted by how many rows sort to it.
+
 Each construction also has a ``*_parametric`` twin that emits a
 :class:`~repro.flow.parametric.ParametricNetwork`: the α-independent
 arc arrays are assembled once and the α-dependent sink capacities are
@@ -27,7 +31,7 @@ minus ``s`` induces such a subgraph iff it is non-empty (Lemma 14).
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .. import obs
@@ -156,36 +160,56 @@ def _cds_network_from_index(index: CliqueIndex, h: int, alpha: float) -> FlowNet
     return net
 
 
-def build_pds_network(
-    graph: Graph,
-    pattern_size: int,
-    alpha: float,
-    instances: Sequence[frozenset],
-    degrees: Optional[Mapping[Vertex, int]] = None,
-) -> FlowNetwork:
-    """PExact network (Algorithm 8) for a general pattern.
+def _pds_nodes(index: CliqueIndex, grouped: bool) -> tuple[list, list[int]]:
+    """The instance nodes of a PDS network: member id rows and weights.
 
-    ``instances`` are the pattern instances as vertex frozensets (the
-    flow construction only needs the vertex membership of each
-    instance).  Multiple instances on the same vertex set appear as
-    separate nodes -- that is exactly the redundancy ``construct+``
+    Algorithm 8 takes every row with weight 1.  ``construct+`` takes
+    each distinct sorted row once, ascending, weighted by how many rows
+    sort to it -- the instances on one vertex set (Lemma 11).
+    """
+    flat, k = index.inst, index.h
+    rows = [flat[i : i + k] for i in range(0, len(flat), k)]
+    if not grouped:
+        return rows, [1] * len(rows)
+    weight = Counter(tuple(sorted(row)) for row in rows)
+    keys = sorted(weight)
+    return keys, [weight[key] for key in keys]
+
+
+def _pds_network(index: CliqueIndex, alpha: float, grouped: bool) -> FlowNetwork:
+    k = index.h
+    labels = index.vertices
+    net = FlowNetwork(SOURCE, SINK)
+    for i, v in enumerate(labels):
+        net.add_arc(SOURCE, _vertex_node(v), float(index.base_degree[i]))
+        net.add_arc(_vertex_node(v), SINK, alpha * k)
+    for idx, (members, weight) in enumerate(zip(*_pds_nodes(index, grouped))):
+        node = _instance_node(idx)
+        for vid in members:
+            net.add_arc(_vertex_node(labels[vid]), node, float(weight))
+            net.add_arc(node, _vertex_node(labels[vid]), float(weight * (k - 1)))
+    return net
+
+
+def build_pds_network(index: CliqueIndex, alpha: float) -> FlowNetwork:
+    """PExact network (Algorithm 8) over a pattern-instance index.
+
+    One node per row: the flow construction only needs the vertex
+    membership of each instance.  Instances on the same vertex set
+    appear as separate nodes -- exactly the redundancy ``construct+``
     removes.
     """
-    if degrees is None:
-        degrees = defaultdict(int)
-        for inst in instances:
-            for v in inst:
-                degrees[v] += 1
-    net = FlowNetwork(SOURCE, SINK)
-    for v in graph:
-        net.add_arc(SOURCE, _vertex_node(v), float(degrees.get(v, 0)))
-        net.add_arc(_vertex_node(v), SINK, alpha * pattern_size)
-    for idx, inst in enumerate(instances):
-        node = _instance_node(idx)
-        for v in inst:
-            net.add_arc(_vertex_node(v), node, 1.0)
-            net.add_arc(node, _vertex_node(v), float(pattern_size - 1))
-    return net
+    return _pds_network(index, alpha, grouped=False)
+
+
+def build_pds_network_grouped(index: CliqueIndex, alpha: float) -> FlowNetwork:
+    """``construct+`` network (Algorithm 7): instance groups by vertex set.
+
+    Each group ``g`` of rows on one vertex set becomes a single node;
+    ``v -> g`` has capacity ``|g|`` and ``g -> v`` capacity
+    ``|g|(|V_Ψ| - 1)`` (Lemma 11 proves cut equivalence with PExact).
+    """
+    return _pds_network(index, alpha, grouped=True)
 
 
 class _ParametricAssembler:
@@ -438,80 +462,59 @@ def _cds_parametric_loop(index: CliqueIndex, h: int) -> ParametricNetwork:
 
 
 @_flow_build_span
-def build_pds_parametric(
-    graph: Graph,
-    pattern_size: int,
-    instances: Sequence[frozenset],
-    degrees: Optional[Mapping[Vertex, int]] = None,
-    grouped: bool = False,
-) -> ParametricNetwork:
+def build_pds_parametric(index: CliqueIndex, grouped: bool = False) -> ParametricNetwork:
     """Parametric PDS network: Algorithm 8, or ``construct+`` if grouped.
 
     Sink caps are ``α·|V_Ψ|``; the instance/group arcs are exactly those
-    of :func:`build_pds_network` / :func:`build_pds_network_grouped`.
+    of :func:`build_pds_network` / :func:`build_pds_network_grouped`,
+    emitted vectorised from the index rows when numpy is available.
     """
-    if degrees is None:
-        degrees = defaultdict(int)
-        for inst in instances:
-            for v in inst:
-                degrees[v] += 1
-    asm = _ParametricAssembler(list(graph))
-    for i, v in enumerate(asm.vertices):
-        src = asm.arc(asm.source, i, float(degrees.get(v, 0)))
-        asm.alpha_arc(i, asm.sink, 0.0, float(pattern_size), source_arc=src)
-    index = asm.index
-    ha, ca = asm.head.append, asm.cap.append  # inlined asm.arc: hot loops
+    if np is None or not index.m:
+        return _pds_parametric_loop(index, grouped)
+    k = index.h
+    nv = len(index.vertices)
+    source, sink = nv, nv + 1
+    rows = index.rows_array()
     if grouped:
-        groups: dict[frozenset, int] = defaultdict(int)
-        for inst in instances:
-            groups[frozenset(inst)] += 1
-        for members, size in groups.items():
-            node = asm.aux_node()
-            back = float(size * (pattern_size - 1))
-            for v in members:
-                iv = index[v]
-                ha(node), ca(float(size)), ha(iv), ca(0.0)
-                ha(iv), ca(back), ha(node), ca(0.0)
+        rows, weight = np.unique(np.sort(rows, axis=1), axis=0, return_counts=True)
     else:
-        back = float(pattern_size - 1)
-        for inst in instances:
-            node = asm.aux_node()
-            for v in inst:
-                iv = index[v]
-                ha(node), ca(1.0), ha(iv), ca(0.0)
-                ha(iv), ca(back), ha(node), ca(0.0)
+        weight = np.ones(len(rows), dtype=np.int64)
+    node = np.repeat(np.arange(sink + 1, sink + 1 + len(rows)), k)
+    member = rows.reshape(-1)
+    fwd = np.repeat(weight.astype(np.float64), k)
+    head = np.empty(4 * (nv + member.size), dtype=np.int32)
+    cap = np.zeros(head.size)
+    vid = np.arange(nv)
+    head[0 : 4 * nv : 4] = vid  # s -> v, capacity deg(v)
+    head[1 : 4 * nv : 4] = source
+    cap[0 : 4 * nv : 4] = index.base_degree
+    head[2 : 4 * nv : 4] = sink  # v -> t, capacity |V_Ψ|·α
+    head[3 : 4 * nv : 4] = vid
+    head[4 * nv :: 4] = node  # v -> node, capacity |g|
+    head[4 * nv + 1 :: 4] = member
+    cap[4 * nv :: 4] = fwd
+    head[4 * nv + 2 :: 4] = member  # node -> v, capacity |g|(|V_Ψ| - 1)
+    head[4 * nv + 3 :: 4] = node
+    cap[4 * nv + 2 :: 4] = fwd * (k - 1)
+    return ParametricNetwork(
+        sink + 1 + len(rows), source, sink, head, cap, 4 * vid + 2,
+        np.full(nv, float(k)), index.vertices, alpha_src=4 * vid,
+    )
+
+
+def _pds_parametric_loop(index: CliqueIndex, grouped: bool) -> ParametricNetwork:
+    """The arc arrays of :func:`build_pds_parametric`, one node at a time."""
+    k = index.h
+    asm = _ParametricAssembler(index.vertices)
+    degree = index.base_degree
+    for i in range(len(asm.vertices)):
+        src = asm.arc(asm.source, i, float(degree[i]))
+        asm.alpha_arc(i, asm.sink, 0.0, float(k), source_arc=src)
+    ha, ca = asm.head.append, asm.cap.append  # inlined asm.arc: hot loop
+    for members, weight in zip(*_pds_nodes(index, grouped)):
+        node = asm.aux_node()
+        fwd, back = float(weight), float(weight * (k - 1))
+        for vid in members:
+            ha(node), ca(fwd), ha(vid), ca(0.0)
+            ha(vid), ca(back), ha(node), ca(0.0)
     return asm.build()
-
-
-def build_pds_network_grouped(
-    graph: Graph,
-    pattern_size: int,
-    alpha: float,
-    instances: Sequence[frozenset],
-    degrees: Optional[Mapping[Vertex, int]] = None,
-) -> FlowNetwork:
-    """``construct+`` network (Algorithm 7): instance groups by vertex set.
-
-    Groups of instances sharing one vertex set become a single node
-    ``g``; ``v -> g`` has capacity ``|g|`` and ``g -> v`` capacity
-    ``|g|(|V_Ψ| - 1)`` (Lemma 11 proves cut equivalence with PExact).
-    """
-    if degrees is None:
-        degrees = defaultdict(int)
-        for inst in instances:
-            for v in inst:
-                degrees[v] += 1
-    groups: dict[frozenset, int] = defaultdict(int)
-    for inst in instances:
-        groups[frozenset(inst)] += 1
-
-    net = FlowNetwork(SOURCE, SINK)
-    for v in graph:
-        net.add_arc(SOURCE, _vertex_node(v), float(degrees.get(v, 0)))
-        net.add_arc(_vertex_node(v), SINK, alpha * pattern_size)
-    for idx, (members, size) in enumerate(groups.items()):
-        node = _instance_node(idx)
-        for v in members:
-            net.add_arc(_vertex_node(v), node, float(size))
-            net.add_arc(node, _vertex_node(v), float(size * (pattern_size - 1)))
-    return net

@@ -16,8 +16,8 @@ satisfy and raises :class:`SanitizerError` on any violation:
   increases and exactly one vertex leaves per round.
 * **Result density** (at the solver/api boundary): the reported density
   equals ``μ(S) / |S|`` recomputed from scratch on the returned vertex
-  set -- both sides divide the same two integers, so the check is
-  float-exact.
+  set, for the solved-for clique or pattern -- both sides divide the
+  same two integers, so the check is float-exact.
 
 The checks are pure readers: they never mutate solver state, so a suite
 run under ``REPRO_CHECK=1`` computes bit-identical answers.  Cost is
@@ -155,8 +155,14 @@ def check_peel_round(prev_num_alive: int, num_alive: int, context: str = "peel")
         )
 
 
-def check_result_density(graph, vertices, h: int, density: float, where: str) -> None:
-    """Recompute ``μ(S)/|S|`` from scratch and demand float-exact agreement."""
+def check_result_density(graph, vertices, motif, density: float, where: str) -> None:
+    """Recompute ``μ(S)/|S|`` from scratch and demand float-exact agreement.
+
+    ``motif`` is the solved-for Ψ: an int ``h`` (the h-clique) or a
+    :class:`~repro.patterns.pattern.Pattern`.  A non-clique pattern is
+    recounted by enumerating its instances in ``G[S]``, never through
+    the solver's instance index.
+    """
     if not vertices:
         if density != 0.0:
             _fail(where, f"empty vertex set reported with density {density}")
@@ -164,16 +170,24 @@ def check_result_density(graph, vertices, h: int, density: float, where: str) ->
     sub = graph.subgraph(vertices)
     if sub.num_vertices != len(vertices):
         _fail(where, "returned vertex set is not a subset of the graph")
-    if h == 2:
-        mu = sub.num_edges
-    else:
-        from ..cliques.index import CliqueIndex  # late: keep guard import-light
+    # late imports: keep guard import-light
+    if isinstance(motif, int) or motif.is_clique():
+        h = motif if isinstance(motif, int) else motif.size
+        if h == 2:
+            mu = sub.num_edges
+        else:
+            from ..cliques.index import CliqueIndex
 
-        mu = CliqueIndex(sub, h).m
+            mu = CliqueIndex(sub, h).m
+    else:
+        from ..patterns.isomorphism import count_pattern_instances
+
+        mu = count_pattern_instances(sub, motif)
     expect = mu / len(vertices)
     if expect != density and abs(expect - density) > 1e-12 * (1.0 + expect):
+        name = motif if isinstance(motif, int) else motif.name
         _fail(
             where,
             f"reported density {density} != recomputed {expect} "
-            f"(mu={mu}, |S|={len(vertices)}, h={h})",
+            f"(mu={mu}, |S|={len(vertices)}, motif={name})",
         )

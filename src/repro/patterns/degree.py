@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import Callable
 
 from ..graph.graph import Graph, Vertex
 from .isomorphism import enumerate_pattern_instances
@@ -26,11 +27,11 @@ from .pattern import Pattern
 
 def pattern_degrees(graph: Graph, pattern: Pattern) -> dict[Vertex, int]:
     """Pattern-degree of every vertex via instance enumeration."""
-    degrees: dict[Vertex, int] = {v: 0 for v in graph}
-    for inst in enumerate_pattern_instances(graph, pattern):
-        for v in {v for edge in inst for v in edge}:
-            degrees[v] += 1
-    return degrees
+    counts = [0] * graph.num_vertices
+    for row in enumerate_pattern_instances(graph, pattern):
+        for vid in row:
+            counts[vid] += 1
+    return dict(zip(graph, counts))
 
 
 def star_degrees(graph: Graph, tails: int) -> dict[Vertex, int]:
@@ -54,13 +55,16 @@ def star_degrees(graph: Graph, tails: int) -> dict[Vertex, int]:
     return degrees
 
 
-def two_paths_by_endpoint(graph: Graph, v: Vertex) -> Counter:
-    """Count 2-paths ``v - w - u`` grouped by far endpoint ``u != v``."""
+def two_paths_by_endpoint(neighbors: Callable[[Vertex], set], v: Vertex) -> Counter:
+    """Count 2-paths ``v - w - u`` grouped by far endpoint ``u != v``.
+
+    ``neighbors(x)`` is the neighbour set of ``x``: ``graph.neighbors``,
+    or the lookup of an id-indexed adjacency list.
+    """
     paths: Counter = Counter()
-    for w in graph.neighbors(v):
-        for u in graph.neighbors(w):
-            if u != v:
-                paths[u] += 1
+    for w in neighbors(v):
+        paths.update(neighbors(w))
+    del paths[v]  # the 2-paths v - w - v
     return paths
 
 
@@ -70,11 +74,10 @@ def c4_degrees(graph: Graph) -> dict[Vertex, int]:
     Each C4 containing ``v`` pairs two 2-paths from ``v`` to its
     opposite corner, so every cycle is counted exactly once per vertex.
     """
-    degrees: dict[Vertex, int] = {}
-    for v in graph:
-        paths = two_paths_by_endpoint(graph, v)
-        degrees[v] = sum(math.comb(c, 2) for c in paths.values())
-    return degrees
+    return {
+        v: sum([math.comb(c, 2) for c in two_paths_by_endpoint(graph.neighbors, v).values()])
+        for v in graph
+    }
 
 
 def fast_pattern_degrees(graph: Graph, pattern: Pattern) -> dict[Vertex, int]:
@@ -83,12 +86,8 @@ def fast_pattern_degrees(graph: Graph, pattern: Pattern) -> dict[Vertex, int]:
     The fast paths cover the starred patterns of Figure 7 (2-star,
     3-star, diamond); everything else goes through the generic matcher.
     """
-    degree_seq = pattern.degrees()
-    size = pattern.size
-    # x-star: one centre of degree x, x leaves of degree 1
-    if pattern.num_edges == size - 1 and degree_seq == [1] * (size - 1) + [size - 1]:
-        return star_degrees(graph, size - 1)
-    # C4: four vertices of degree 2 forming a cycle
-    if size == 4 and pattern.num_edges == 4 and degree_seq == [2, 2, 2, 2]:
+    if pattern.star_tails():
+        return star_degrees(graph, pattern.star_tails())
+    if pattern.is_c4():
         return c4_degrees(graph)
     return pattern_degrees(graph, pattern)

@@ -5,9 +5,10 @@ higher-order structure).  The PDS problem (Section 7) finds the
 subgraph with the most pattern instances per vertex.
 
 The catalogue fixes the seven named non-clique patterns of Figure 7.
-Two names need interpretation from a text-only source; the choices are
-documented in DESIGN.md §3 and centralised here so a different reading
-is a one-line change:
+Figure 7 is a drawing, and four names need interpretation from the
+text alone.  The readings below follow the paper's prose (Example 6,
+Section 7, Appendix D); they are centralised here so a different
+reading is a one-line change:
 
 * ``diamond`` -- the 4-cycle C4 (Example 6 and Appendix D's loop-pattern
   counting identify it as the cycle, drawn diamond-shaped).
@@ -19,7 +20,7 @@ is a one-line change:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from functools import cached_property
 
 from ..graph.graph import Graph, complete_graph, cycle_graph, star_graph
 
@@ -64,16 +65,57 @@ class Pattern:
         """Sorted degree sequence of the pattern."""
         return sorted(self.graph.degree(v) for v in self.graph)
 
+    def star_tails(self) -> int:
+        """``x`` when Ψ is the x-star with ``x >= 2`` tails, else 0.
+
+        Stars and the 4-cycle (:meth:`is_c4`) are the patterns with
+        Appendix-D closed-form degree counters.
+        """
+        size = self.size
+        if size >= 3 and self.degrees() == [1] * (size - 1) + [size - 1]:
+            return size - 1
+        return 0
+
+    def is_c4(self) -> bool:
+        """Whether Ψ is the 4-cycle C4 (the catalogue's "diamond")."""
+        return self.size == 4 and self.num_edges == 4 and self.degrees() == [2, 2, 2, 2]
+
+    @cached_property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Every automorphism of Ψ as a permutation of vertex positions.
+
+        Position ``i`` is the pattern's ``i``-th vertex in iteration
+        order (vertex ``i`` for the catalogue patterns); ``perm[i]`` is
+        its image.  A backtracking search, in lexicographic order, that
+        keeps adjacency to the positions already mapped: patterns are
+        tiny.  Computed on first use and kept, since a pattern is
+        immutable.
+        """
+        vertices = list(self.graph)
+        position = {v: i for i, v in enumerate(vertices)}
+        adj = [{position[u] for u in self.graph.neighbors(v)} for v in vertices]
+        size = len(vertices)
+        found: list[tuple[int, ...]] = []
+        perm: list[int] = []
+
+        def extend(i: int) -> None:
+            if i == size:
+                found.append(tuple(perm))
+                return
+            for image in range(size):
+                if image not in perm and len(adj[image]) == len(adj[i]) and all(
+                    (perm[j] in adj[image]) == (j in adj[i]) for j in range(i)
+                ):
+                    perm.append(image)
+                    extend(i + 1)
+                    perm.pop()
+
+        extend(0)
+        return tuple(found)
+
     def automorphism_count(self) -> int:
-        """Number of automorphisms of Ψ (brute force; patterns are tiny)."""
-        vertices = sorted(self.graph.vertices())
-        edges = {frozenset(e) for e in self.graph.edges()}
-        count = 0
-        for perm in permutations(vertices):
-            mapping = dict(zip(vertices, perm))
-            if all(frozenset((mapping[u], mapping[v])) in edges for u, v in self.graph.edges()):
-                count += 1
-        return count
+        """Number of automorphisms of Ψ, ``|Aut(Ψ)|``."""
+        return len(self.automorphisms)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Pattern({self.name!r}, |V|={self.size}, |E|={self.num_edges})"

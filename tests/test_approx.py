@@ -43,7 +43,7 @@ def _reference_peel(graph, index, max_steps=None):
 
 def _assert_peel_matches_reference(graph, h, make_index=CliqueIndex):
     """``make_index(graph, h)`` builds each side's (consumed) index."""
-    result = peel_densest(graph, h, index=make_index(graph, h), check_density=False)
+    result = peel_densest(graph, h, index=make_index(graph, h))
     vertices, density, iterations, improving = _reference_peel(graph, make_index(graph, h))
     assert result.vertices == vertices
     assert result.density == density

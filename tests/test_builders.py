@@ -14,8 +14,8 @@ from repro.flow.builders import (
     build_pds_network_grouped,
     vertices_of_cut,
 )
+from repro.core.pattern_core import pattern_index
 from repro.graph.graph import Graph, complete_graph
-from repro.patterns.isomorphism import enumerate_pattern_instances, instance_vertices
 from repro.patterns.pattern import get_pattern
 
 from .conftest import random_graph
@@ -90,33 +90,31 @@ class TestCdsNetwork:
 
 class TestPdsNetworks:
     @pytest.mark.parametrize("grouped", [False, True])
-    def test_decision_for_diamond(self, grouped):
+    def test_decision_for_diamond_rows(self, grouped):
         g = complete_graph(4)  # 3 C4s on 4 vertices: density 0.75
-        pattern = get_pattern("diamond")
-        sets = [instance_vertices(i) for i in enumerate_pattern_instances(g, pattern)]
+        index = pattern_index(g, get_pattern("diamond"))
         build = build_pds_network_grouped if grouped else build_pds_network
         for alpha, feasible in [(0.5, True), (0.74, True), (0.76, False)]:
-            net = build(g, 4, alpha, sets)
+            net = build(index, alpha)
             dinic.max_flow(net)
             assert bool(vertices_of_cut(net.min_cut_source_side())) is feasible
 
-    def test_grouped_and_plain_cut_values_agree(self):
+    def test_grouped_and_plain_cut_values_agree_on_rows(self):
         # Lemma 11: identical min-cut capacity
         g = random_graph(12, 35, seed=4)
-        pattern = get_pattern("2-star")
-        sets = [instance_vertices(i) for i in enumerate_pattern_instances(g, pattern)]
+        index = pattern_index(g, get_pattern("2-star"))
         for alpha in (0.5, 2.0, 5.0):
-            plain = build_pds_network(g, 3, alpha, sets)
-            grouped = build_pds_network_grouped(g, 3, alpha, sets)
+            plain = build_pds_network(index, alpha)
+            grouped = build_pds_network_grouped(index, alpha)
             assert dinic.max_flow(plain) == pytest.approx(dinic.max_flow(grouped), abs=1e-6)
 
-    def test_grouped_network_is_smaller_when_instances_share_vertices(self):
+    def test_grouped_network_has_one_node_per_vertex_set(self):
         g = complete_graph(4)
-        pattern = get_pattern("diamond")
-        sets = [instance_vertices(i) for i in enumerate_pattern_instances(g, pattern)]
-        plain = build_pds_network(g, 4, 0.5, sets)
-        grouped = build_pds_network_grouped(g, 4, 0.5, sets)
-        assert grouped.num_nodes < plain.num_nodes
+        index = pattern_index(g, get_pattern("diamond"))
+        plain = build_pds_network(index, 0.5)
+        grouped = build_pds_network_grouped(index, 0.5)
+        # s, t, 4 vertices, then 3 instance nodes or 1 group of weight 3
+        assert (plain.num_nodes, grouped.num_nodes) == (9, 7)
 
 
 def _explicit_index(graph, h, seed) -> CliqueIndex:
@@ -152,3 +150,30 @@ def test_vectorised_cds_arrays_match_the_loop(h, kind):
         assert alpha_src.tolist() == loop.alpha_src.tolist()
         checked += 1
     assert checked >= 10
+
+
+@pytest.mark.skipif(builders.np is None, reason="the vectorised builder needs numpy")
+@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("name", ["2-star", "diamond", "c3-star", "basket"])
+def test_vectorised_pds_arrays_match_the_loop(name, grouped):
+    """The vectorised PDS arrays (Algorithm 8, or construct+ groups)
+    equal the node-at-a-time loop's: node count, heads, base capacities
+    and the α-arc tables."""
+    pattern = get_pattern(name)
+    checked = 0
+    for g in GRAPHS:
+        if g.num_vertices > 14:  # dense 5-vertex patterns explode beyond
+            continue
+        index = pattern_index(g, pattern)
+        if not index.m:
+            continue
+        vec = builders.build_pds_parametric(index, grouped=grouped)
+        loop = builders._pds_parametric_loop(index, grouped)
+        assert vec.num_nodes == loop.num_nodes
+        assert vec.head.tolist() == loop.head.tolist()
+        assert vec.base_cap.tolist() == loop.base_cap.tolist()
+        assert vec.alpha_arcs.tolist() == loop.alpha_arcs.tolist()
+        assert vec.alpha_coeff.tolist() == loop.alpha_coeff.tolist()
+        assert vec.alpha_src.tolist() == loop.alpha_src.tolist()
+        checked += 1
+    assert checked >= 5

@@ -17,6 +17,7 @@ import pytest
 from repro.api import densest_subgraph
 from repro.core.core_exact import core_exact_densest
 from repro.core.exact import exact_densest
+from repro.core.pattern_core import pattern_index
 from repro.core.pds import core_p_exact_densest, p_exact_densest
 from repro.core.query_variant import query_densest
 from repro.extensions.topk import top_k_densest
@@ -26,6 +27,7 @@ from repro.flow.builders import (
     build_cds_parametric,
     build_eds_network,
     build_eds_parametric,
+    build_pds_network,
     build_pds_network_grouped,
     build_pds_parametric,
     vertices_of_cut,
@@ -129,19 +131,20 @@ class TestParametricMatchesFreshBuild:
             12.0,
         )
 
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("name", ["triangle", "2-star", "diamond"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_pds_grouped(self, seed):
-        from repro.cliques.enumeration import enumerate_cliques
-
+    def test_pds_rows(self, seed, name, grouped):
         g = random_graph(20, 60, seed + 200)
-        instances = [frozenset(c) for c in enumerate_cliques(g, 3)]
-        if not instances:
-            pytest.skip("no triangle instances in this seed")
+        index = pattern_index(g, get_pattern(name))
+        if not index.m:
+            pytest.skip(f"no {name} instances in this seed")
+        per_alpha = build_pds_network_grouped if grouped else build_pds_network
         _binary_search_cuts(
             g,
-            lambda: build_pds_parametric(g, 3, instances, grouped=True),
-            lambda a: build_pds_network_grouped(g, 3, a, instances),
-            float(g.max_degree()),
+            lambda: build_pds_parametric(index, grouped=grouped),
+            lambda a: per_alpha(index, a),
+            float(max(index.base_degree)),
         )
 
     def test_set_alpha_rewrites_only_alpha_arcs(self):

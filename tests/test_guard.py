@@ -14,11 +14,13 @@ from repro.api import densest_subgraph
 from repro.cliques.index import CliqueIndex
 from repro.core.core_exact import core_exact_densest
 from repro.core.exact import exact_densest
+from repro.core.pds import pattern_peel_densest
 from repro.core.peel import peel_densest
 from repro.flow.builders import build_eds_network, build_eds_parametric
 from repro.flow import dinic
 from repro.graph.graph import Graph, complete_graph
 from repro.guard import faults, sanitize
+from repro.patterns.pattern import get_pattern
 
 
 needs_numpy = pytest.mark.skipif(
@@ -301,6 +303,32 @@ class TestApiFallback:
         assert res.stats.get("fallback") == "peel"
         assert res.stats["approx_ratio"] == pytest.approx(1 / 3)
 
+    @pytest.mark.parametrize("name", ["diamond", "2-star", "c3-star"])
+    @pytest.mark.parametrize(
+        "method,site",
+        [
+            ("exact", "pds.p_exact"),
+            ("core-exact", "pds.core_p_exact"),
+            ("peel", "pds.peel"),
+            ("inc-app", "pds.inc_app"),
+            ("core-app", "pds.core_app"),
+        ],
+    )
+    def test_dead_budget_on_pattern_methods_falls_back_to_peel(self, method, site, name):
+        """Every pattern entry point checkpoints before it enumerates or
+        peels: a spent budget stops it, and the api answers with the
+        pattern peel, run to completion."""
+        g = random_graph(30, 100, seed=47)
+        pattern = get_pattern(name)
+        with guard.Budget(deadline_s=0.0) as b:
+            res = densest_subgraph(g, pattern, method=method)
+        assert b.expired[0] == site
+        assert res.stats["fallback"] == "peel"
+        assert res.stats["degraded_at"] == site
+        assert res.stats["approx_ratio"] == pytest.approx(1 / pattern.size)
+        clean = pattern_peel_densest(g, pattern)
+        assert (res.vertices, res.density) == (clean.vertices, clean.density)
+
     def test_budget_restored_after_fallback(self):
         g = random_graph(30, 120, seed=41)
         with guard.Budget(deadline_s=0.0) as b:
@@ -582,6 +610,17 @@ class TestSanitizer:
         sanitize.check_result_density(g, set(g.vertices()), 2, 2.0, "t")
         with pytest.raises(guard.SanitizerError, match="recomputed"):
             sanitize.check_result_density(g, set(g.vertices()), 2, 1.9, "t")
+
+    def test_result_density_recounts_the_pattern(self):
+        # K4 holds three C4s and six 2-triangles: a density of the wrong
+        # motif, or of the right one miscounted, fails
+        g = complete_graph(4)
+        diamond = get_pattern("diamond")
+        sanitize.check_result_density(g, set(g.vertices()), diamond, 0.75, "t")
+        with pytest.raises(guard.SanitizerError, match="motif=diamond"):
+            sanitize.check_result_density(g, set(g.vertices()), diamond, 1.5, "t")
+        with pytest.raises(guard.SanitizerError, match="recomputed 0.75"):
+            sanitize.check_result_density(g, set(g.vertices()), diamond, 1.0, "t")
 
     def test_result_density_empty_set(self):
         g = complete_graph(3)

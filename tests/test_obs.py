@@ -212,6 +212,33 @@ def test_core_app_spans_nest_the_kcore_under_the_run(tmp_path):
     assert validate_main([str(path)]) == 0
 
 
+def test_traced_core_p_exact_validates(tmp_path):
+    """CorePExact's trace: its own span around the instance index and
+    CoreExact's decomposition and flow spans, on a schema-valid JSONL."""
+    from repro.core.pds import core_p_exact_densest
+    from repro.obs.validate import main as validate_main
+    from repro.patterns.pattern import get_pattern
+
+    graph = _random_graph(40, 160, seed=8)
+    path = tmp_path / "trace.jsonl"
+    obs.enable(sink=str(path))
+    result = core_p_exact_densest(graph, get_pattern("diamond"))
+    obs.close()
+    col = obs.get_collector()
+    (run,) = col.spans("pds.core_p_exact")
+    assert run["attrs"] == {"pattern": "diamond", "n": graph.num_vertices}
+    (index_sp,) = col.spans("cliques.index.build")
+    (decomp_sp,) = col.spans("core_exact.decomposition")
+    (flow_sp,) = col.spans("core_exact.flow")
+    for sp in (index_sp, decomp_sp, flow_sp):
+        assert sp["parent"] == "pds.core_p_exact"
+    assert col.spans("flow.build")
+    (index_ev,) = col.events("cliques.index")
+    assert index_ev["fields"]["kernel"] == "pattern"
+    assert index_ev["fields"]["m"] == result.stats["instances"] > 0
+    assert validate_main([str(path)]) == 0
+
+
 def test_summary_flow_rollup_consistent():
     graph = _random_graph(60, 260, seed=5)
     obs.enable()

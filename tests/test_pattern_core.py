@@ -9,6 +9,7 @@ from repro.core.pattern_core import (
     pattern_core_subgraph,
     star_core_decomposition,
 )
+from repro.graph.generators import holme_kim
 from repro.graph.graph import Graph, complete_graph, cycle_graph, star_graph
 from repro.patterns.isomorphism import count_pattern_instances
 from repro.patterns.pattern import get_pattern, star_pattern
@@ -81,6 +82,16 @@ class TestFastPaths:
         fast = c4_core_decomposition(g)
         generic = pattern_core_decomposition(g, get_pattern("diamond")).core
         assert fast == generic
+
+    @pytest.mark.parametrize("name", ["2-star", "diamond"])
+    def test_heap_peels_match_generic_on_holme_kim(self, name):
+        # 2,000 vertices, hubs of degree ~190: the heap picks what the
+        # old per-removal min-scan picked, in O(log n) instead of O(n)
+        g = holme_kim(2000, 3, 0.5, seed=3)
+        pattern = get_pattern(name)
+        fast = fast_pattern_core_decomposition(g, pattern)
+        assert fast == pattern_core_decomposition(g, pattern).core
+        assert max(fast.values()) > 10
 
     def test_dispatch_star(self):
         g = star_graph(6)

@@ -14,8 +14,8 @@ from repro.patterns.degree import (
 from repro.patterns.isomorphism import (
     count_pattern_instances,
     enumerate_pattern_instances,
-    instance_vertices,
     pattern_density,
+    symmetry_conditions,
 )
 from repro.patterns.pattern import (
     Pattern,
@@ -121,21 +121,50 @@ class TestEnumeration:
         # a 2-star embeds into a triangle even though the tails are adjacent
         assert count_pattern_instances(complete_graph(3), get_pattern("2-star")) == 3
 
-    def test_instance_edges_exist(self):
+    @pytest.mark.parametrize("name", ["c3-star", "diamond", "basket"])
+    def test_row_entries_map_pattern_edges_to_graph_edges(self, name):
+        # row entry i is the image of pattern vertex i
         g = random_graph(12, 30, seed=2)
-        for inst in enumerate_pattern_instances(g, get_pattern("c3-star")):
-            for edge in inst:
-                u, v = tuple(edge)
-                assert g.has_edge(u, v)
+        labels = list(g)
+        pattern = get_pattern(name)
+        rows = enumerate_pattern_instances(g, pattern)
+        assert rows
+        for row in rows:
+            assert len(set(row)) == pattern.size
+            for a, b in pattern.graph.edges():
+                assert g.has_edge(labels[row[a]], labels[row[b]])
 
-    def test_instances_unique(self):
+    @pytest.mark.parametrize("name", ["2-star", "3-star", "c3-star", "diamond", "2-triangle"])
+    def test_one_row_per_instance(self, name):
+        # symmetry breaking admits one embedding per image edge set
         g = random_graph(12, 32, seed=3)
-        instances = enumerate_pattern_instances(g, get_pattern("diamond"))
-        assert len(set(instances)) == len(instances)
+        pattern = get_pattern(name)
+        rows = enumerate_pattern_instances(g, pattern)
+        edge_sets = {
+            frozenset(frozenset((row[a], row[b])) for a, b in pattern.graph.edges())
+            for row in rows
+        }
+        assert len(edge_sets) == len(rows)
 
-    def test_instance_vertices(self):
-        inst = frozenset([frozenset((1, 2)), frozenset((2, 3))])
-        assert instance_vertices(inst) == frozenset({1, 2, 3})
+    def test_rows_are_graph_order_ids(self):
+        # the ids index list(graph), whatever the labels are
+        g = Graph([("d", "a"), ("a", "b"), ("b", "c"), ("c", "d")])
+        (row,) = enumerate_pattern_instances(g, get_pattern("diamond"))
+        assert sorted(row) == [0, 1, 2, 3]
+        labels = list(g)
+        assert [labels[i] for i in row] == ["d", "a", "b", "c"]
+
+    def test_symmetry_conditions_break_every_automorphism(self):
+        # exactly one automorphic image of the identity meets the conditions
+        for name in pattern_names():
+            pattern = get_pattern(name)
+            conditions = symmetry_conditions(pattern, list(range(pattern.size)))
+            admitted = [
+                perm
+                for perm in pattern.automorphisms
+                if all(perm[a] < perm[b] for a, b in conditions)
+            ]
+            assert len(admitted) == 1, name
 
     def test_no_instances_in_too_small_graph(self):
         assert count_pattern_instances(path_graph(2), get_pattern("basket")) == 0

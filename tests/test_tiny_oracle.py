@@ -5,8 +5,11 @@ For each of its 1,245 graphs with an edge and each h in {2, 3, 4}, the
 tables below enumerate every vertex subset: its h-clique count gives
 the optimum density ρ*, and its minimum clique-degree gives the
 (k, Ψ)-cores (the (k, Ψ)-core is the union of all subsets whose minimum
-clique-degree is at least k).  Densities are compared as integer
-ratios, by cross-multiplication, never through a float tolerance.
+clique-degree is at least k).  The 12 catalogue patterns get the same
+treatment on the 202 atlas graphs of at most six vertices, their
+instances found by trying every injection of the pattern.  Densities
+are compared as integer ratios, by cross-multiplication, never through
+a float tolerance.
 """
 
 import itertools
@@ -19,8 +22,17 @@ from repro.core import kcore
 from repro.core.core_app import core_app_densest
 from repro.core.inc_app import inc_app_densest
 from repro.core.kcore import core_decomposition
+from repro.core.pds import (
+    core_p_exact_densest,
+    p_exact_densest,
+    pattern_core_app_densest,
+    pattern_inc_app_densest,
+    pattern_peel_densest,
+)
 from repro.core.peel import peel_densest
 from repro.graph.graph import Graph
+from repro.patterns.isomorphism import enumerate_pattern_instances
+from repro.patterns.pattern import get_pattern, pattern_names
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +124,89 @@ def test_approximations_against_every_subset(atlas, h):
         # ρ*/h <= density <= ρ*, as integer ratios
         assert count[chosen] * best_size <= best * size, i
         assert h * count[chosen] * best_size >= best * size, i
+
+
+# --- the Figure-7 patterns on the atlas graphs with at most six vertices ---
+
+
+def _pattern_oracle(graph: Graph, pattern):
+    """``(instances, count, rho)`` by brute force over injections.
+
+    Every edge-preserving injection of Ψ into ``graph`` is an embedding;
+    embeddings with one image edge set are one instance (Definition 8).
+    ``instances`` is the vertex mask of each instance, ``count[S]`` the
+    number of instances inside subset mask ``S`` and ``rho`` the optimum
+    density as ``(instances, vertices)``.
+    """
+    n = graph.num_vertices
+    position = {v: i for i, v in enumerate(pattern.graph)}
+    edges = [(position[u], position[v]) for u, v in pattern.graph.edges()]
+    # pattern vertex i must land next to the images of its neighbours j < i
+    earlier = [[j for j in range(i) if (i, j) in edges or (j, i) in edges]
+               for i in range(pattern.size)]
+    by_edges = {}
+    image: list[int] = []
+
+    def extend(i: int) -> None:  # every edge-preserving injection
+        if i == pattern.size:
+            key = frozenset(frozenset((image[a], image[b])) for a, b in edges)
+            by_edges[key] = _mask(image)
+            return
+        for w in range(n):
+            if w not in image and all(graph.has_edge(image[j], w) for j in earlier[i]):
+                image.append(w)
+                extend(i + 1)
+                image.pop()
+
+    extend(0)
+    instances = list(by_edges.values())
+    full = (1 << n) - 1
+    count = [0] * (full + 1)
+    for inside in instances:
+        rest = full & ~inside
+        extra = rest
+        while True:  # every superset of the instance
+            count[inside | extra] += 1
+            if not extra:
+                break
+            extra = (extra - 1) & rest
+    rho = (0, 1)
+    for subset in range(1, full + 1):
+        size = len(MEMBERS[subset])
+        if count[subset] * rho[1] > rho[0] * size:
+            rho = (count[subset], size)
+    return instances, count, rho
+
+
+@pytest.fixture(scope="module")
+def small_atlas(atlas):
+    return [_graph(g) for g in atlas if g.number_of_nodes() <= 6]
+
+
+def test_catalogue_patterns_against_every_subset(small_atlas):
+    """The matcher's rows, the exact PDS solvers and the pattern
+    approximations on every atlas graph with at most six vertices."""
+    for name in pattern_names():
+        pattern = get_pattern(name)
+        k = pattern.size
+        for i, graph in enumerate(small_atlas):
+            instances, count, (best, best_size) = _pattern_oracle(graph, pattern)
+            rows = enumerate_pattern_instances(graph, pattern)
+            labels = list(graph)
+            assert sorted(_mask(labels[v] for v in row) for row in rows) == sorted(
+                instances
+            ), (name, i)
+            if not instances:
+                continue
+            for solver in (p_exact_densest, core_p_exact_densest):
+                result = solver(graph, pattern)
+                chosen, size = _mask(result.vertices), len(result.vertices)
+                assert result.density == count[chosen] / size, (name, i)
+                assert count[chosen] * best_size == best * size, (name, i, solver)
+            for solver in (pattern_peel_densest, pattern_inc_app_densest, pattern_core_app_densest):
+                result = solver(graph, pattern)
+                chosen, size = _mask(result.vertices), len(result.vertices)
+                assert result.density == count[chosen] / size, (name, i)
+                # ρ*/|V_Ψ| <= density <= ρ*, as integer ratios
+                assert count[chosen] * best_size <= best * size, (name, i, solver)
+                assert k * count[chosen] * best_size >= best * size, (name, i, solver)
