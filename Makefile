@@ -42,9 +42,10 @@ bench-smoke:
 bench:
 	$(PY) -m pytest benchmarks -q
 
-# Just the flow-engine ablation (rewrites benchmarks/out/flow_reuse_ablation.json
-# and the machine-readable perf summary benchmarks/out/BENCH_flow.json, which
-# also records the accel backend tier and the per-tier flow-phase wall times).
+# Just the flow ablation: the breakpoint walk against the paper's binary
+# search for Exact, and the clique-index kernels (rewrites the
+# machine-readable perf summary benchmarks/out/BENCH_flow.json, which also
+# records the accel backend tier and the per-tier flow-phase wall times).
 ablation:
 	$(PY) -m pytest benchmarks/bench_ablation_flow_reuse.py -q
 

@@ -1,38 +1,40 @@
-"""Ablation: flow engines × clique-index kernels in the exact algorithms.
+"""Ablation: the breakpoint walk vs the paper's binary search, and the
+clique-index kernels, in the exact algorithms.
 
-PR 2 introduced the array-backed :class:`ParametricNetwork` (engine
-``"reuse"``), PR 3 the GGT breakpoint walk (engine ``"ggt"``, now the
-default), and PR 4 the array-backed clique-index layer that feeds every
-engine its instances.  The bench quantifies all of it on the Figure-8
-small-dataset suite and writes a machine-readable JSON
-(``benchmarks/out/flow_reuse_ablation.json``, committed as evidence) so
-the perf trajectory is tracked across PRs.
+The exact solvers find ρ* by walking the min-cut breakpoints of one
+α-parametric network (discrete Newton, the increasing-α half of
+Gallo–Grigoriadis–Tarjan).  The paper's Algorithm 1 instead bisects α
+down to a ``1/(n(n-1))`` resolution with one min cut per guess.  This
+bench keeps that binary search as a local baseline for Exact -- a
+freshly built parametric network per guess, one cold solve each -- and
+runs both on the Figure-8 small-dataset suite.
 
 Per cell (dataset × algorithm × h) it records:
 
-* wall-clock and speedups of the three flow engines
-  (``rebuild``/``reuse``/``ggt``) plus their max-flow solve counts;
-* the **enumeration/flow split** of the default-engine run, read off
-  the solvers' ``stats`` (``enumeration_seconds`` /
-  ``decomposition_seconds`` / ``flow_seconds``), which is where the
-  clique-layer speedup shows up end-to-end;
+* the walk's wall-clock and max-flow solve count, and for Exact the
+  binary search's (which must return the identical vertex set and
+  density);
+* the **enumeration/flow split** of the walk, read off the solvers'
+  ``stats`` (``enumeration_seconds`` / ``decomposition_seconds`` /
+  ``flow_seconds``), which is where the clique-layer speedup shows up
+  end-to-end;
 * the **kernel ablation**: the clique-index build timed with the numpy
   intersection kernels vs the pure-python fallback, asserted >= 2x
   faster with numpy on every cell whose instance count is non-trivial.
 
-Every cell asserts all three engines return identical vertex sets and
-densities, and (h >= 3) that a solver fed a reference-enumerator index
-("old enumeration") is bit-identical to the kernel-fed run -- the
-ablation is only meaningful if results are unchanged.
+For h >= 3 every cell also asserts that a solver fed a
+reference-enumerator index ("old enumeration") is bit-identical to the
+kernel-fed run -- the ablation is only meaningful if results are
+unchanged.
 
-PR 5 added the **accel-backend ablation**: the GGT flow phase timed per
-dispatch tier of :mod:`repro.accel` (numba / numpy / python) on
-full-graph parametric networks, written -- together with the engine
-cells, solve counts and the per-cell backend -- to the machine-readable
-``benchmarks/out/BENCH_flow.json`` so the perf trajectory is trackable
-across PRs.  With numba actually jitted the bench asserts a >= 3x
-flow-phase speedup over the numpy tier on at least one non-trivial
-cell; cuts and densities must be identical on every tier regardless.
+The **accel-backend ablation** times the walk's flow phase per dispatch
+tier of :mod:`repro.accel` (numba / numpy / python) on full-graph
+parametric networks and writes it -- together with the cells and the
+per-cell backend -- to the machine-readable
+``benchmarks/out/BENCH_flow.json``.  With numba actually jitted the
+bench asserts a >= 3x flow-phase speedup over the numpy tier on at
+least one non-trivial cell; cuts and densities must be identical on
+every tier regardless.
 """
 
 import json
@@ -50,8 +52,6 @@ from repro.experiments.harness import env_fingerprint, timed
 from repro.flow.builders import build_cds_parametric, build_eds_parametric
 
 OUT_DIR = Path(__file__).parent / "out"
-
-ENGINES = ("rebuild", "reuse", "ggt")
 
 #: Flow-phase wall-clock (numpy tier) below which a backend cell is too
 #: fast to time reliably; the numba >= 3x claim is only asserted on
@@ -81,6 +81,36 @@ def _best_of(fn, reps=5):
     return best
 
 
+def _binary_search_exact(graph, h):
+    """The paper's Algorithm 1: bisect α until ``u - l < 1/(n(n-1))``.
+
+    Each guess builds a fresh parametric network and solves it cold, as
+    the paper's per-iteration network construction does.  Returns
+    ``(cut, solves)``: the last feasible cut (the maximal densest
+    subgraph, since no subgraph density lies strictly between the final
+    lower bound and ρ*, Lemma 12) and the number of max-flow solves.
+    """
+    n = graph.num_vertices
+    index = CliqueIndex(graph, h) if h >= 3 else None
+    upper = graph.max_degree() if h == 2 else max(index.base_degree, default=0)
+    low, high = 0.0, float(upper)
+    resolution = 1.0 / (n * (n - 1)) if n > 1 else 0.5
+    best, solves = None, 0
+    while high - low >= resolution:
+        alpha = (low + high) / 2.0
+        if h == 2:
+            net = build_eds_parametric(graph)
+        else:
+            net = build_cds_parametric(graph, h, index=index)
+        cut = net.solve(alpha)
+        solves += 1
+        if cut:
+            low, best = alpha, cut
+        else:
+            high = alpha
+    return best, solves
+
+
 def _cells(bench_scale):
     rows = []
     for name in dataset_names("small"):
@@ -91,21 +121,7 @@ def _cells(bench_scale):
             ("Exact", exact_densest, (2, 3)),
         ):
             for h in h_values:
-                results = {}
-                seconds = {}
-                for engine in ENGINES:
-                    results[engine], seconds[engine] = timed(
-                        fn, graph, h, flow_engine=engine
-                    )
-                baseline = results["rebuild"]
-                for engine in ("reuse", "ggt"):
-                    assert results[engine].vertices == baseline.vertices, (
-                        name, algorithm, h, engine,
-                    )
-                    assert results[engine].density == baseline.density, (
-                        name, algorithm, h, engine,
-                    )
-
+                result, seconds = timed(fn, graph, h)
                 row = {
                     "dataset": name,
                     "algorithm": algorithm,
@@ -116,36 +132,29 @@ def _cells(bench_scale):
                     # never silently compared numba-vs-interpreter
                     "active_tier": accel.TIER,
                     "numba_available": accel.NUMBA_JITTED,
-                    "rebuild_s": seconds["rebuild"],
-                    "reuse_s": seconds["reuse"],
-                    "ggt_s": seconds["ggt"],
-                    "speedup_reuse": (
-                        seconds["rebuild"] / seconds["reuse"]
-                        if seconds["reuse"] > 0
-                        else float("inf")
-                    ),
-                    "speedup_ggt": (
-                        seconds["rebuild"] / seconds["ggt"]
-                        if seconds["ggt"] > 0
-                        else float("inf")
-                    ),
-                    # max-flow solve counts: the binary search runs one
-                    # per iteration, the GGT walk one per breakpoint hop
-                    "solves_binary": results["reuse"].iterations,
-                    "solves_ggt": results["ggt"].iterations,
-                    "density": baseline.density,
-                    # enumeration/flow wall-clock split of the default
-                    # run; decomposition_seconds includes the index
-                    # build (the paper's Algorithm-3 accounting), so
-                    # subtract it to keep the three parts disjoint
-                    "enum_s": results["ggt"].stats.get("enumeration_seconds", 0.0),
+                    "ggt_s": seconds,
+                    # max-flow solves of the walk, one per breakpoint hop
+                    "solves_ggt": result.iterations,
+                    "density": result.density,
+                    # enumeration/flow wall-clock split of the walk;
+                    # decomposition_seconds includes the index build
+                    # (the paper's Algorithm-3 accounting), so subtract
+                    # it to keep the three parts disjoint
+                    "enum_s": result.stats.get("enumeration_seconds", 0.0),
                     "decomp_s": max(
-                        results["ggt"].stats.get("decomposition_seconds", 0.0)
-                        - results["ggt"].stats.get("enumeration_seconds", 0.0),
+                        result.stats.get("decomposition_seconds", 0.0)
+                        - result.stats.get("enumeration_seconds", 0.0),
                         0.0,
                     ),
-                    "flow_s": results["ggt"].stats.get("flow_seconds", 0.0),
+                    "flow_s": result.stats.get("flow_seconds", 0.0),
                 }
+                if algorithm == "Exact":
+                    (cut, solves), binary_s = timed(_binary_search_exact, graph, h)
+                    # the walk ends on the same maximal densest subgraph
+                    assert cut == result.vertices, (name, h, "binary search")
+                    row["binary_s"] = binary_s
+                    row["solves_binary"] = solves
+                    row["speedup_ggt"] = binary_s / seconds if seconds > 0 else float("inf")
 
                 if h >= 3:
                     # old-vs-new enumeration: the reference nested-loop
@@ -155,10 +164,10 @@ def _cells(bench_scale):
                         graph, h, instances=list(enumerate_cliques(graph, h))
                     )
                     via_reference = fn(graph, h, index=reference_index)
-                    assert via_reference.vertices == baseline.vertices, (
+                    assert via_reference.vertices == result.vertices, (
                         name, algorithm, h, "reference-enumeration",
                     )
-                    assert via_reference.density == baseline.density, (
+                    assert via_reference.density == result.density, (
                         name, algorithm, h, "reference-enumeration",
                     )
 
@@ -261,20 +270,23 @@ def test_flow_reuse_ablation(benchmark, emit, bench_scale):
     aggregates = {}
     for algorithm in ("CoreExact", "Exact"):
         sub = [r for r in rows if r["algorithm"] == algorithm]
-        rebuild = sum(r["rebuild_s"] for r in sub)
-        reuse = sum(r["reuse_s"] for r in sub)
-        ggt = sum(r["ggt_s"] for r in sub)
         aggregates[algorithm] = {
-            "rebuild_s": rebuild,
-            "reuse_s": reuse,
-            "ggt_s": ggt,
-            "speedup_reuse": rebuild / reuse if reuse > 0 else float("inf"),
-            "speedup_ggt": rebuild / ggt if ggt > 0 else float("inf"),
-            "solves_binary": sum(r["solves_binary"] for r in sub),
+            "ggt_s": sum(r["ggt_s"] for r in sub),
             "solves_ggt": sum(r["solves_ggt"] for r in sub),
             "enum_s": sum(r["enum_s"] for r in sub),
             "flow_s": sum(r["flow_s"] for r in sub),
         }
+    exact_rows = [r for r in rows if r["algorithm"] == "Exact"]
+    binary_s = sum(r["binary_s"] for r in exact_rows)
+    aggregates["Exact"].update(
+        binary_s=binary_s,
+        solves_binary=sum(r["solves_binary"] for r in exact_rows),
+        speedup_ggt=(
+            binary_s / aggregates["Exact"]["ggt_s"]
+            if aggregates["Exact"]["ggt_s"] > 0
+            else float("inf")
+        ),
+    )
     enum_cells = [r for r in rows if "enum_speedup" in r]
     if enum_cells:
         total_np = sum(r["enum_numpy_s"] for r in enum_cells)
@@ -293,36 +305,18 @@ def test_flow_reuse_ablation(benchmark, emit, bench_scale):
     emit(
         "ablation_flow_reuse",
         rows,
-        "Flow-engine x clique-kernel ablation -- rebuild vs reuse vs GGT "
-        f"(aggregate speedup: Exact {aggregates['Exact']['speedup_reuse']:.2f}x reuse / "
-        f"{aggregates['Exact']['speedup_ggt']:.2f}x ggt, "
-        f"CoreExact {aggregates['CoreExact']['speedup_reuse']:.2f}x reuse / "
-        f"{aggregates['CoreExact']['speedup_ggt']:.2f}x ggt; "
-        f"Exact solves {aggregates['Exact']['solves_binary']} binary -> "
-        f"{aggregates['Exact']['solves_ggt']} ggt{enum_line})",
-    )
-    OUT_DIR.mkdir(exist_ok=True)
-    payload = {
-        "bench_scale": bench_scale,
-        "env": env_fingerprint(),
-        "cells": rows,
-        "aggregates": aggregates,
-        "results_identical": True,  # asserted per cell above
-    }
-    (OUT_DIR / "flow_reuse_ablation.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        "Breakpoint walk vs binary search x clique-kernel ablation "
+        f"(Exact: walk {aggregates['Exact']['speedup_ggt']:.2f}x faster, "
+        f"solves {aggregates['Exact']['solves_binary']} binary -> "
+        f"{aggregates['Exact']['solves_ggt']} walk{enum_line})",
     )
 
-    # the engines' headlines: where the binary search actually runs
-    # (Exact always does), α-reuse is worth an integer factor, and the
-    # GGT walk needs a small fraction of the binary search's solves
-    assert aggregates["Exact"]["speedup_reuse"] >= 2.0
+    # the walk's headline: a small fraction of the binary search's
+    # solves, on every Exact cell and in aggregate -- one parametric
+    # sweep, never the O(log n²) ladder of the bisection
     assert aggregates["Exact"]["solves_ggt"] * 2 < aggregates["Exact"]["solves_binary"]
-    for row in rows:
-        if row["algorithm"] == "Exact":
-            # one parametric sweep: a handful of solves per instance,
-            # never the O(log n²) ladder of the binary search
-            assert row["solves_ggt"] < row["solves_binary"]
+    for row in exact_rows:
+        assert row["solves_ggt"] < row["solves_binary"]
 
     # the clique-layer headline: the numpy intersection kernels make the
     # enumeration pass >= 2x faster on every cell large enough to time
@@ -374,11 +368,11 @@ def test_flow_reuse_ablation(benchmark, emit, bench_scale):
         "numba_speedup_assert": numba_assert,
         "tiers": list(tiers),
         "kernel_tiers": accel.kernel_tiers(),
-        "engine_cells": rows,
+        "exact_cells": rows,
         "flow_tier_cells": tier_cells,
         "aggregates": {
             "flow_solve_totals": tier_totals,
-            "engine": aggregates,
+            "exact": aggregates,
         },
         "results_identical_across_tiers": True,  # asserted per cell above
     }
@@ -414,7 +408,7 @@ def test_flow_reuse_ablation(benchmark, emit, bench_scale):
 
     # the compiled tier's headline: with numba actually jitted, the flow
     # phase of at least one non-trivial cell runs >= 3x faster than the
-    # numpy tier (the DFS/discharge loops leave the interpreter)
+    # numpy tier (the BFS/DFS loops leave the interpreter)
     if accel.NUMBA_JITTED:
         assert numba_assert["eligible_cells"], (
             "no cell large enough to assert the numba speedup"
@@ -429,5 +423,5 @@ def test_flow_reuse_ablation(benchmark, emit, bench_scale):
         )
 
     graph = load("Yeast", bench_scale)
-    result = benchmark(core_exact_densest, graph, 2, flow_engine="ggt")
+    result = benchmark(core_exact_densest, graph, 2)
     assert result.density > 0.0

@@ -1,17 +1,15 @@
 """Three-tier acceleration backend for the flow and peel hot loops.
 
 The scalar hot loops of this package -- Dinic's blocking-flow DFS, the
-push-relabel discharge loop, the GGT retreat drains, and the two peel
-engines -- all dispatch through the kernel registry in this module
-instead of branching locally.  Three tiers, fastest first:
+GGT retreat drains, and the two peel engines -- all dispatch through
+the kernel registry in this module instead of branching locally.
+Three tiers, fastest first:
 
 * **numba** -- the loops from :mod:`repro.accel.kernels`, compiled to
   native code with ``numba.njit``.  Selected automatically when numba
   is importable.  Parametric networks hold numpy arrays whenever numpy
-  is importable, so the wrappers pass them straight through (only the
-  list-backed :class:`~repro.flow.network.FlowNetwork` is converted);
-  each runs on a private copy of the residuals and writes them back on
-  success.
+  is importable, so the wrappers pass them straight through; each runs
+  on a private copy of the residuals and writes them back on success.
 * **numpy** -- :mod:`repro.accel.vector`: Dinic with every phase planned
   in numpy from one size crossover (the reference DFS then walks only
   the arcs of shortest augmenting paths), the GGT advance as an array
@@ -206,9 +204,7 @@ def _wrap_heap_peel(kfn):
 #: ``None`` outside the numba tier: it exists to *replace* the pure
 #: generator in :func:`repro.core.peel.min_degree_peel`, which is its
 #: own reference implementation).
-KERNEL_NAMES = (
-    "dinic", "push_relabel", "ggt_retreat", "ggt_advance", "bucket_peel", "heap_peel",
-)
+KERNEL_NAMES = ("dinic", "ggt_retreat", "ggt_advance", "bucket_peel", "heap_peel")
 
 _impl: dict = {}
 
@@ -266,7 +262,6 @@ def _build_registry(tier: str) -> None:
     # pure tier (fn=None for heap_peel: the caller's reference loop).
     chains: dict = {
         "dinic": [("python", _on_views(pure.dinic_max_flow, 4), False)],
-        "push_relabel": [("python", _on_views(pure.push_relabel_max_flow, 4), False)],
         "ggt_retreat": [("python", _on_views(pure.ggt_retreat, 3), False)],
         "ggt_advance": [("python", _on_views(pure.ggt_advance), False)],
         "bucket_peel": [("python", pure.bucket_peel, False)],
@@ -283,9 +278,6 @@ def _build_registry(tier: str) -> None:
         # the max-flow / retreat wrappers are transactional: they run on
         # a private array copy and write residuals back only on success
         chains["dinic"].insert(0, (label, _wrap_max_flow(kerns["dinic_max_flow"]), True))
-        chains["push_relabel"].insert(
-            0, (label, _wrap_max_flow(kerns["push_relabel_max_flow"]), True)
-        )
         chains["ggt_retreat"].insert(0, (label, _wrap_ggt_retreat(kerns["ggt_retreat"]), True))
         # the peel wrappers share the caller's buffers (frombuffer), so
         # the dispatcher snapshots/restores them around a failed call
@@ -465,30 +457,6 @@ def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
     return total
 
 
-def push_relabel_max_flow(source, sink, head, cap, adj_start, adj_arcs):
-    """Highest-label + gap push-relabel (mutates ``cap`` in place)."""
-    global last_solve
-    args = (source, sink, head, cap, adj_start, adj_arcs)
-    if not obs.ENABLED:
-        value, _, _ = _dispatch("push_relabel", args, (3,))
-        return value
-    t0 = time.perf_counter()
-    value, pushes, relabels = _dispatch("push_relabel", args, (3,))
-    seconds = time.perf_counter() - t0
-    last_solve = {
-        "kernel": "push_relabel",
-        "tier": KERNEL_TIERS["push_relabel"],
-        "arcs": len(head) // 2,
-        "pushes": pushes,
-        "relabels": relabels,
-        "seconds": seconds,
-    }
-    obs.counter("accel.push_relabel.calls")
-    obs.counter("accel.push_relabel.pushes", pushes)
-    obs.counter("accel.push_relabel.relabels", relabels)
-    return value
-
-
 def ggt_retreat(head, cap, base_cap, adj_start, adj_arcs, alpha_arcs, alpha_coeff,
                 num_nodes, source, alpha):
     """GGT decreasing-alpha clamp + excess drain (mutates ``cap``)."""
@@ -551,7 +519,6 @@ def warm_up() -> str:
     adj_start = [0, 1, 2]
     adj_arcs = [0, 1]
     dinic_max_flow(0, 1, head, list(cap), list(adj_start), list(adj_arcs))
-    push_relabel_max_flow(0, 1, head, list(cap), list(adj_start), list(adj_arcs))
     ggt_retreat(head, [0.5, 0.5], [0.0, 0.0], adj_start, adj_arcs, [0], [1.0], 2, 0, 0.25)
     ggt_advance([0.5, 0.5], [0.0, 0.0], [0], [1.0], 0.75)
     # one 2-clique instance over two vertices

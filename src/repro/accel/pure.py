@@ -18,8 +18,6 @@ versa.
 
 from __future__ import annotations
 
-import math
-
 from ..flow.network import EPS
 
 # --------------------------------------------------------------------
@@ -131,154 +129,6 @@ def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
             source, sink, head, cap, adj_start, adj_arcs, level, total
         )
         augments += pushed
-
-
-# --------------------------------------------------------------------
-# Push-relabel (highest-label selection + gap relabeling)
-# --------------------------------------------------------------------
-
-
-def push_relabel_max_flow(source, sink, head, cap, adj_start, adj_arcs):
-    """Highest-label push-relabel with the gap heuristic; returns
-    ``(value, pushes, relabels)``.
-
-    ``pushes`` and ``relabels`` count the discharge-loop operations
-    (admissible pushes and height lifts) for the telemetry layer; the
-    :mod:`repro.accel` dispatcher strips them, engine callers see the
-    float alone.  Counting is tier-identical: every tier runs the same
-    discharge order.
-
-    Active nodes live in per-height intrusive stacks and the highest one
-    is discharged to exhaustion (relabels keep it selected, since its
-    height only grows).  When a relabel empties a height level below
-    ``n``, no residual path can cross it any more, so every node
-    strictly above the gap (and below ``n``) is lifted straight to
-    ``n + 1`` -- their flow can only return to the source, which the
-    second (drain-back) phase then does.  Runs to completion, so the
-    residual state on exit is a genuine max *flow* (not a preflow) and
-    ``min_cut_source_side`` stays valid.
-
-    Infinite capacities are clamped to a finite big-M above the total
-    finite capacity (summed over *all* arcs, which keeps the bound valid
-    on warm-started / cancelled parametric networks), which cannot
-    change the min cut.
-    """
-    n = len(adj_start) - 1
-
-    finite_total = 0.0
-    for c in cap:
-        if not math.isinf(c):
-            finite_total += c
-    big = finite_total * 2.0 + 1.0
-    for i, c in enumerate(cap):
-        if math.isinf(c):
-            cap[i] = big
-
-    max_h = 2 * n
-    height = [0] * n
-    excess = [0.0] * n
-    height[source] = n
-    count = [0] * (max_h + 2)  # nodes per height, for gap detection
-    count[0] = n - 1
-    count[n] += 1
-
-    bucket = [-1] * (max_h + 2)  # per-height stacks of active nodes
-    nxt = [-1] * n
-    queued = bytearray(n)
-    highest = -1
-    cursor = adj_start[:n]  # per-node cursor into adj_arcs
-    pushes = 0
-    relabels = 0
-
-    # Saturate all source arcs.
-    for idx in range(adj_start[source], adj_start[source + 1]):
-        arc = adj_arcs[idx]
-        flow = cap[arc]
-        if flow > EPS:
-            v = head[arc]
-            cap[arc] = 0.0
-            cap[arc ^ 1] += flow
-            excess[v] += flow
-            if v != source and v != sink and not queued[v]:
-                queued[v] = 1
-                hv = height[v]
-                nxt[v] = bucket[hv]
-                bucket[hv] = v
-                if hv > highest:
-                    highest = hv
-
-    while highest >= 0:
-        u = bucket[highest]
-        if u < 0:
-            highest -= 1
-            continue
-        bucket[highest] = nxt[u]
-        queued[u] = 0
-        if excess[u] <= EPS:
-            continue
-        end = adj_start[u + 1]
-        while excess[u] > EPS:
-            if cursor[u] == end:
-                # relabel: one above the lowest admissible neighbour
-                min_height = -1
-                for idx in range(adj_start[u], end):
-                    arc = adj_arcs[idx]
-                    if cap[arc] > EPS:
-                        hh = height[head[arc]]
-                        if min_height < 0 or hh < min_height:
-                            min_height = hh
-                if min_height < 0:
-                    break  # isolated excess; cannot happen on sane networks
-                old_h = height[u]
-                count[old_h] -= 1
-                height[u] = min_height + 1
-                count[min_height + 1] += 1
-                cursor[u] = adj_start[u]
-                relabels += 1
-                if count[old_h] == 0 and old_h < n:
-                    # gap: lift every node strictly inside (old_h, n) --
-                    # including u itself -- to n + 1 and rebuild the
-                    # buckets (lifted nodes sit in stale lists)
-                    for v in range(n):
-                        hv = height[v]
-                        if old_h < hv < n and v != source:
-                            count[hv] -= 1
-                            height[v] = n + 1
-                            count[n + 1] += 1
-                            cursor[v] = adj_start[v]
-                    for hh in range(max_h + 2):
-                        bucket[hh] = -1
-                    for v in range(n):
-                        queued[v] = 0
-                    highest = -1
-                    for v in range(n):
-                        if v != source and v != sink and v != u and excess[v] > EPS:
-                            queued[v] = 1
-                            hv = height[v]
-                            nxt[v] = bucket[hv]
-                            bucket[hv] = v
-                            if hv > highest:
-                                highest = hv
-                continue
-            arc = adj_arcs[cursor[u]]
-            v = head[arc]
-            if cap[arc] > EPS and height[u] == height[v] + 1:
-                delta = excess[u] if excess[u] < cap[arc] else cap[arc]
-                cap[arc] -= delta
-                cap[arc ^ 1] += delta
-                excess[u] -= delta
-                excess[v] += delta
-                pushes += 1
-                if v != source and v != sink and not queued[v]:
-                    queued[v] = 1
-                    hv = height[v]
-                    nxt[v] = bucket[hv]
-                    bucket[hv] = v
-                    if hv > highest:
-                        highest = hv
-            else:
-                cursor[u] += 1
-    return excess[sink], pushes, relabels
 
 
 # --------------------------------------------------------------------

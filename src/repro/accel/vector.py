@@ -17,9 +17,9 @@ arrays in numpy from construction to cut extraction
 * :func:`ggt_advance` -- the increasing-α capacity refresh as one
   array expression.
 
-The sequential loops with no useful numpy formulation (push-relabel,
-the GGT retreat drains, the peels) stay on the pure tier, which the
-registry hands memoryviews of the arrays (:func:`on_views`).
+The sequential loops with no useful numpy formulation (the GGT retreat
+drains, the peels) stay on the pure tier, which the registry hands
+memoryviews of the arrays (:func:`on_views`).
 
 Why the planner cannot change an answer: a node on no shortest s-t
 path when a phase starts stays dead for the whole phase -- the phase
@@ -153,10 +153,8 @@ def _planned_max_flow(source, sink, head, cap, adj_start, adj_arcs):
 def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
     """Dinic, phases planned in numpy from :data:`PLAN_MIN_ARCS` entries.
 
-    Takes the numpy arrays of a parametric network or the lists of a
-    :class:`~repro.flow.network.FlowNetwork` (converted for the planner,
-    with the residuals written back).  Returns ``(total, bfs_passes,
-    augments)`` like the pure tier.
+    Takes the numpy arrays of a parametric network and returns
+    ``(total, bfs_passes, augments)`` like the pure tier.
     """
     global LAST_BFS_MODE
     args = (source, sink, head, cap, adj_start, adj_arcs)
@@ -164,14 +162,7 @@ def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
         LAST_BFS_MODE = "scalar"
         return on_views(pure.dinic_max_flow, args, 4)
     LAST_BFS_MODE = "numpy"
-    if isinstance(cap, np.ndarray):
-        return _planned_max_flow(*args)
-    residual = np.array(cap, dtype=np.float64)
-    out = _planned_max_flow(
-        source, sink, np.asarray(head), residual, np.asarray(adj_start), np.asarray(adj_arcs)
-    )
-    cap[:] = residual.tolist()
-    return out
+    return _planned_max_flow(*args)
 
 
 def ggt_advance(cap, base_cap, alpha_arcs, alpha_coeff, alpha):

@@ -108,7 +108,6 @@ def densest_subgraph(
     graph: Graph,
     psi: PatternLike = 2,
     method: str = "auto",
-    flow_engine: str = "ggt",
     *,
     strict: bool = True,
     snapshot: Optional["Snapshot"] = None,
@@ -124,17 +123,9 @@ def densest_subgraph(
         name (e.g. ``"diamond"``), or a :class:`Pattern`.
     method:
         One of ``auto``, ``exact``, ``core-exact``, ``peel``,
-        ``inc-app``, ``core-app``.
-    flow_engine:
-        How the exact methods drive their max-flow solves.  ``"ggt"``
-        (default) walks the min-cut breakpoints of one α-parametric
-        arc-array network (Gallo–Grigoriadis–Tarjan style; no binary
-        search, a handful of warm solves); ``"reuse"`` runs the binary
-        search but re-solves one α-parametric network, rewriting only
-        the sink capacities per iteration; ``"rebuild"`` reconstructs
-        the network every iteration.  All three return bit-identical
-        vertex sets and densities; the peeling-based approximations
-        take no flow engine.
+        ``inc-app``, ``core-app``.  The exact methods walk the min-cut
+        breakpoints of one α-parametric network with warm-started Dinic
+        solves (no binary search over α).
     strict:
         Validate the input up front (the default): a non-``Graph``
         raises ``TypeError``; an empty graph or a ``NaN`` vertex id
@@ -219,22 +210,16 @@ def densest_subgraph(
             return CliqueIndex(graph, h) if h >= 3 else None
 
         dispatch = {
-            "exact": lambda: exact_densest(
-                graph, h, flow_engine=flow_engine, index=clique_index()
-            ),
-            "core-exact": lambda: core_exact_densest(
-                graph, h, flow_engine=flow_engine, index=clique_index()
-            ),
+            "exact": lambda: exact_densest(graph, h, index=clique_index()),
+            "core-exact": lambda: core_exact_densest(graph, h, index=clique_index()),
             "peel": lambda: peel_densest(graph, h, index=clique_index()),
             "inc-app": lambda: inc_app_densest(graph, h, index=clique_index()),
             "core-app": lambda: core_app_densest(graph, h),
         }
     else:
         dispatch = {
-            "exact": lambda: p_exact_densest(graph, pattern, flow_engine=flow_engine),
-            "core-exact": lambda: core_p_exact_densest(
-                graph, pattern, flow_engine=flow_engine
-            ),
+            "exact": lambda: p_exact_densest(graph, pattern),
+            "core-exact": lambda: core_p_exact_densest(graph, pattern),
             "peel": lambda: pattern_peel_densest(graph, pattern),
             "inc-app": lambda: pattern_inc_app_densest(graph, pattern),
             "core-app": lambda: pattern_core_app_densest(graph, pattern),

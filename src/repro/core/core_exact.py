@@ -4,20 +4,24 @@ The paper's headline exact algorithm.  It improves Algorithm 1 with
 three core-based optimisations (Section 6.1):
 
 1. **Tighter bounds on α** -- Theorem 1 gives ``kmax/|V_Ψ| ≤ ρ_opt ≤
-   kmax``, collapsing the binary-search window.
+   kmax``, so the search starts at a lower bound of ``kmax/|V_Ψ|``.
 2. **Locating the CDS in a core** -- Lemma 7 places the CDS inside the
    (⌈ρ⌉, Ψ)-core for any valid lower bound ρ, so flow networks are
    built on small cores (and on single connected components) instead of
    the whole graph.  Pruning1 uses the best residual density ρ' seen
    during core decomposition; Pruning2 sharpens it with per-component
-   densities ρ''; Pruning3 relaxes the stopping criterion to the
-   component size.
-3. **Shrinking flow networks** -- every time the binary search raises
-   the lower bound past the next integer, the component is intersected
+   densities ρ''.
+3. **Shrinking flow networks** -- every time the search raises the
+   lower bound past the next integer, the component is intersected
    with a higher core and the network rebuilt smaller.
 
-Each pruning is independently switchable so the Figure-10 ablation can
-measure its contribution.
+The paper searches each component by bisecting α; here the search is
+a breakpoint walk on the component's α-parametric network
+(:func:`_ggt_newton_walk`), which needs no stopping resolution.  That
+is why the paper's Pruning3, which only relaxes the bisection's
+stopping resolution to the component size, has no counterpart.
+Pruning1 and Pruning2 are independently switchable so the Figure-10
+ablation can measure their contribution.
 """
 
 from __future__ import annotations
@@ -29,19 +33,10 @@ from typing import Optional
 from .. import guard, obs
 from ..cliques.index import CliqueIndex
 from ..guard import sanitize
-from ..flow import dinic
-from ..flow.builders import (
-    build_cds_network,
-    build_cds_parametric,
-    build_eds_network,
-    build_eds_parametric,
-    build_pds_network_grouped,
-    build_pds_parametric,
-    vertices_of_cut,
-)
+from ..flow.builders import build_cds_parametric, build_eds_parametric, build_pds_parametric
 from ..graph.graph import Graph, Vertex
 from .clique_core import CliqueCoreResult, clique_core_decomposition
-from .exact import DensestSubgraphResult, check_flow_engine
+from .exact import DensestSubgraphResult
 
 
 class _ComponentState:
@@ -50,23 +45,15 @@ class _ComponentState:
     The clique material is a :meth:`~repro.cliques.index.CliqueIndex.subindex`
     of the call-level index -- row selection, never re-enumeration --
     rebuilt whenever CoreExact shrinks the component to a higher core.
-    With the parametric engines the α-parametric flow network is
-    likewise built once per shrink (straight from the instance rows)
-    and re-solved; ``"rebuild"`` reconstructs it per iteration.  A
-    pattern-instance index gets the ``construct+`` network (Algorithm
-    7) instead of Algorithm 1's.
+    The α-parametric flow network is likewise built once per shrink
+    (straight from the instance rows) and re-solved.  A pattern-instance
+    index gets the ``construct+`` network (Algorithm 7) instead of
+    Algorithm 1's.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        h: int,
-        flow_engine: str = "ggt",
-        index: CliqueIndex | None = None,
-    ):
+    def __init__(self, graph: Graph, h: int, index: CliqueIndex | None = None):
         self.graph = graph
         self.h = h
-        self.flow_engine = flow_engine
         self._net = None
         self.network_nodes = 0  # node count of the last-solved network
         if h >= 3:
@@ -78,27 +65,10 @@ class _ComponentState:
         """A new state on the induced subgraph ``G[keep]`` (index sliced)."""
         sub = self.graph.subgraph(keep)
         sub_index = self.index.subindex(sub) if self.index is not None else None
-        return _ComponentState(sub, self.h, self.flow_engine, index=sub_index)
-
-    def build_network(self, alpha: float):
-        if self.h == 2:
-            return build_eds_network(self.graph, alpha)
-        if self.index.pattern is not None:
-            return build_pds_network_grouped(self.index, alpha)
-        return build_cds_network(self.graph, self.h, alpha, index=self.index)
+        return _ComponentState(sub, self.h, index=sub_index)
 
     def solve(self, alpha: float) -> set[Vertex]:
         """Source-side cut vertex set of the min cut at guess ``alpha``."""
-        if self.flow_engine == "rebuild":
-            network = self.build_network(alpha)
-            budget = guard.ACTIVE
-            if budget is not None:
-                budget.tick_solve(network.num_arcs)
-            self.network_nodes = network.num_nodes
-            dinic.max_flow(network)
-            if guard.CHECK:
-                sanitize.check_flow_network(network)
-            return vertices_of_cut(network.min_cut_source_side())
         net = self._parametric()
         self.network_nodes = net.num_nodes
         return net.solve(alpha)
@@ -118,11 +88,6 @@ class _ComponentState:
         if self.h == 2:
             return self.graph.subgraph(vertices).num_edges / len(vertices)
         return self.index.density_within(vertices)
-
-    def checkpoint(self) -> None:
-        """Record the current flow as the warm-start base (new lower bound)."""
-        if self._net is not None:
-            self._net.checkpoint()
 
     def density(self) -> float:
         if self.graph.num_vertices == 0:
@@ -164,8 +129,8 @@ def _ggt_newton_walk(state: _ComponentState, low: float, core_of: dict):
     The per-component half of :meth:`ParametricNetwork.max_density`,
     lifted here so that every time the walk raises α past the next
     integer, the component is re-intersected with the (⌈α⌉, Ψ)-core
-    (exactly the shrink the binary search performs on line 16) and the
-    remaining hops run on a smaller network.  Sound for the same reason
+    (the shrink of Algorithm 4, line 16) and the remaining hops run on
+    a smaller network.  Sound for the same reason
     (Lemma 7): each iterate α is the exact density of a real subgraph,
     hence a valid lower bound, and any denser subgraph has all its
     clique-core numbers >= ⌈α⌉.  Returns ``(cut, ρ, solves, sizes)``.
@@ -201,21 +166,16 @@ def _ggt_newton_walk(state: _ComponentState, low: float, core_of: dict):
 
 
 def solve_component_state(
-    state: _ComponentState,
-    *,
-    low: float,
-    kmax: int,
-    k_locate: int,
-    core_of: dict,
-    pruning3: bool,
-    n: int,
+    state: _ComponentState, *, low: float, k_locate: int, core_of: dict
 ) -> dict:
     """One component of the CoreExact search, started at lower bound ``low``.
 
     The body of the component loop in :func:`core_exact_densest`.
     ``core_of`` maps vertex label to clique-core number (the mid-search
-    shrinks read it); ``n`` is the whole graph's vertex count (the
-    pruning3-off binary resolution).
+    shrinks read it).  The Newton walk starts at ``low`` -- solving
+    there is the feasibility probe of Algorithm 4, lines 7-9 -- and
+    ends at the component's exact optimal density, which raises the
+    lower bound for later components.
 
     Returns ``{"cut", "rho", "solves", "network_sizes", "final_low"}``:
     ``cut`` is None when the search at ``low`` is infeasible, ``rho``
@@ -224,76 +184,19 @@ def solve_component_state(
     :class:`~repro.guard.BudgetExceeded` escapes with the component
     incumbent attached.
     """
-    # cuts found after shrinks are still subsets of this state's graph,
-    # so it can price any of them (bit-identical to the call-level index:
-    # both count exactly the instances inside the cut)
-    origin = state
-    sizes: list[int] = []
-    # The upper bound must be per-component: infeasibility inside one
-    # component says nothing about another, while kmax bounds every
-    # subgraph's density (Lemma 5).  (The paper's pseudocode shares u
-    # across components; resetting it is the sound reading.)
-    high = float(kmax)
     # line 6: if the global lower bound outgrew this core level,
     # intersect the component with the (⌈l⌉, Ψ)-core.
     if low > k_locate:
         state = _core_shrink(state, low, core_of)
     if state.num_vertices == 0:
-        return {"cut": None, "rho": 0.0, "solves": 0, "network_sizes": sizes,
+        return {"cut": None, "rho": 0.0, "solves": 0, "network_sizes": [],
                 "final_low": low}
-
-    if state.flow_engine == "ggt":
-        # One parametric sweep replaces probe + binary search: the
-        # Newton walk starts at the lower bound l (solving at l IS the
-        # feasibility probe) and ends at the component's exact optimal
-        # density, raising l for later components.
-        cut, rho, solves, sizes = _ggt_newton_walk(state, low, core_of)
-        if cut is None:
-            return {"cut": None, "rho": 0.0, "solves": solves,
-                    "network_sizes": sizes, "final_low": low}
-        return {"cut": cut, "rho": rho, "solves": solves,
-                "network_sizes": sizes, "final_low": rho if rho > low else low}
-
-    # lines 7-9: feasibility probe at α = l.
-    probe = state.solve(low)
-    sizes.append(state.network_nodes)
-    solves = 1
-    if not probe:
+    cut, rho, solves, sizes = _ggt_newton_walk(state, low, core_of)
+    if cut is None:
         return {"cut": None, "rho": 0.0, "solves": solves,
                 "network_sizes": sizes, "final_low": low}
-    candidate_local = probe
-    state.checkpoint()  # all later guesses exceed l: warm-start base
-
-    # lines 10-19: binary search within the component.
-    try:
-        while True:
-            nc = state.num_vertices
-            resolution = (
-                1.0 / (nc * (nc - 1))
-                if pruning3 and nc > 1
-                else (1.0 / (n * (n - 1)) if n > 1 else 0.5)
-            )
-            if high - low < resolution:
-                break
-            alpha = (low + high) / 2.0
-            cut_vertices = state.solve(alpha)
-            sizes.append(state.network_nodes)
-            solves += 1
-            if not cut_vertices:
-                high = alpha
-            else:
-                if alpha > math.ceil(low):
-                    state = _core_shrink(state, alpha, core_of)
-                low = alpha
-                candidate_local = cut_vertices
-                state.checkpoint()
-    except guard.BudgetExceeded as exc:
-        # the search's last feasible cut is this component's incumbent
-        exc.attach_incumbent(candidate_local, origin.density_of(candidate_local))
-        raise
-
-    return {"cut": candidate_local, "rho": origin.density_of(candidate_local),
-            "solves": solves, "network_sizes": sizes, "final_low": low}
+    return {"cut": cut, "rho": rho, "solves": solves,
+            "network_sizes": sizes, "final_low": rho if rho > low else low}
 
 
 def core_exact_densest(
@@ -302,9 +205,7 @@ def core_exact_densest(
     *,
     pruning1: bool = True,
     pruning2: bool = True,
-    pruning3: bool = True,
     decomposition: Optional[CliqueCoreResult] = None,
-    flow_engine: str = "ggt",
     index: Optional[CliqueIndex] = None,
 ) -> DensestSubgraphResult:
     """CoreExact: exact CDS with core-based pruning.
@@ -313,23 +214,12 @@ def core_exact_densest(
     ----------
     graph, h:
         Input graph and clique size of Ψ (h = 2 for classical EDS).
-    pruning1 / pruning2 / pruning3:
-        Toggles for the Section-6.1 pruning criteria (all on by default;
-        the Figure-10 ablation turns them off selectively).
+    pruning1 / pruning2:
+        Toggles for the Section-6.1 pruning criteria (both on by
+        default; the Figure-10 ablation turns them off selectively).
     decomposition:
         Optionally a precomputed Algorithm-3 result, to amortise the
         decomposition across calls.
-    flow_engine:
-        ``"ggt"`` (default) walks the min-cut breakpoints of one
-        α-parametric network per component (no binary search; a handful
-        of warm solves, re-intersecting the component with the
-        ⌈α⌉-core between Newton hops so networks shrink mid-search);
-        ``"reuse"`` builds one α-parametric network per component
-        (rebuilt on core shrinks) and re-solves it across the binary
-        search with warm-started flows; ``"rebuild"`` reconstructs the
-        network every iteration (the pre-parametric behaviour; both
-        kept for the flow-engine ablation bench).  All three return
-        bit-identical vertex sets and densities.
     index:
         Optional pre-built, unpeeled :class:`CliqueIndex` of ``graph``
         (the API layer builds one per call).  Built here when omitted
@@ -344,9 +234,12 @@ def core_exact_densest(
     DensestSubgraphResult whose ``stats`` carry the instrumentation the
     evaluation figures need: per-iteration flow-network sizes
     (Figure 9), decomposition vs total time (Table 3), and the
-    enumeration/flow wall-clock split.
+    enumeration/flow wall-clock split.  Each component is searched by
+    a breakpoint walk on one α-parametric network (a handful of warm
+    solves, re-intersecting the component with the ⌈α⌉-core between
+    Newton hops so networks shrink mid-search); ``iterations`` counts
+    the max-flow solves of all components.
     """
-    check_flow_engine(flow_engine)
     n = graph.num_vertices
     start = time.perf_counter()
     if n == 0:
@@ -384,7 +277,6 @@ def core_exact_densest(
 
     # --- bounds and location core (optimisations 1 + Pruning1/2) ------
     low = kmax / float(h)
-    high = float(kmax)
     k_locate = math.ceil(low)
     best_vertices = decomposition.best_residual_vertices
     if pruning1:
@@ -399,7 +291,7 @@ def core_exact_densest(
         for cc in located_graph.connected_components():
             sub = located_graph.subgraph(cc)
             sub_index = index.subindex(sub) if index is not None else None
-            states.append(_ComponentState(sub, h, flow_engine, index=sub_index))
+            states.append(_ComponentState(sub, h, index=sub_index))
         return states
 
     core_vertices = {v for v, c in decomposition.core.items() if c >= k_locate}
@@ -431,7 +323,7 @@ def core_exact_densest(
     degraded: Optional[guard.BudgetExceeded] = None
     # The span's duration *is* the legacy ``flow_seconds`` stat, so
     # trace and stats reconcile exactly.
-    with obs.span("core_exact.flow", engine=flow_engine, h=h) as flow_sp:
+    with obs.span("core_exact.flow", h=h) as flow_sp:
         # Densities already known from the decomposition and the component
         # states seed the cache, so the finalists below rarely trigger a
         # fresh row count.
@@ -461,8 +353,7 @@ def core_exact_densest(
         try:
             for comp_state in ordered:
                 out = solve_component_state(
-                    comp_state, low=low, kmax=kmax, k_locate=k_locate,
-                    core_of=decomposition.core, pruning3=pruning3, n=n,
+                    comp_state, low=low, k_locate=k_locate, core_of=decomposition.core
                 )
                 iterations += out["solves"]
                 network_sizes.extend(out["network_sizes"])
@@ -481,7 +372,7 @@ def core_exact_densest(
                         or cached_density(candidate_from_exc) > cached_density(candidate)):
                     candidate = candidate_from_exc
 
-        # --- pick the best of: binary-search result, Pruning1/2 seeds -----
+        # --- pick the best of: the walks' result, Pruning1/2 seeds -------
         finalists = [best_vertices]
         if candidate:
             finalists.append(candidate)
@@ -502,7 +393,6 @@ def core_exact_densest(
             "kmax": kmax,
             "k_locate": k_locate,
             "located_vertices": located.num_vertices,
-            "flow_engine": flow_engine,
         },
     )
     if degraded is not None:

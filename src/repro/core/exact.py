@@ -1,11 +1,12 @@
 """The baseline exact algorithm ``Exact`` (Algorithm 1).
 
-Binary search over the density guess ``α`` combined with a min-cut
-computation on a flow network built over the *entire* graph in every
-iteration.  This is the state-of-the-art the paper compares against
-(Goldberg's construction for Ψ = edge, the Mitzenmacher et al. /
-Tsourakakis construction for h-cliques) and the reference
-implementation that CoreExact must beat.
+Min cuts of one flow network built over the *entire* graph (Goldberg's
+construction for Ψ = edge, the Mitzenmacher et al. / Tsourakakis
+construction for h-cliques).  This is the state of the art the paper
+compares against and the reference implementation that CoreExact must
+beat.  Where the paper bisects the density guess ``α`` with one min cut
+per guess, the network here is α-parametric and the search is a
+breakpoint walk (:meth:`~repro.flow.parametric.ParametricNetwork.max_density`).
 """
 
 from __future__ import annotations
@@ -16,35 +17,8 @@ from typing import Optional
 from .. import guard, obs
 from ..cliques.index import CliqueIndex
 from ..guard import sanitize
-from ..flow import dinic
-from ..flow.builders import (
-    build_cds_network,
-    build_cds_parametric,
-    build_eds_network,
-    build_eds_parametric,
-    build_pds_network,
-    build_pds_parametric,
-    vertices_of_cut,
-)
+from ..flow.builders import build_cds_parametric, build_eds_parametric, build_pds_parametric
 from ..graph.graph import Graph, Vertex
-
-#: Valid values for the ``flow_engine`` knob of the exact algorithms:
-#: ``"ggt"`` (the default) walks the min-cut breakpoints of one
-#: α-parametric network (discrete Newton; no binary search, a handful
-#: of warm solves); ``"reuse"`` runs the classical binary search but
-#: re-solves one α-parametric network, rewriting only the sink
-#: capacities; ``"rebuild"`` reconstructs a fresh network every
-#: iteration (the pre-parametric behaviour; both non-GGT engines are
-#: kept for the three-way ablation bench).
-FLOW_ENGINES = ("ggt", "reuse", "rebuild")
-
-
-def check_flow_engine(flow_engine: str) -> None:
-    """Raise ValueError on an unknown ``flow_engine`` value."""
-    if flow_engine not in FLOW_ENGINES:
-        raise ValueError(
-            f"unknown flow_engine {flow_engine!r}; choose from {list(FLOW_ENGINES)}"
-        )
 
 
 @dataclass
@@ -60,7 +34,8 @@ class DensestSubgraphResult:
     method:
         Name of the algorithm that produced it.
     iterations:
-        Number of binary-search (or peeling) iterations executed.
+        Number of max-flow solves (exact methods) or peeling iterations
+        executed.
     stats:
         Free-form instrumentation (flow-network sizes, timings, ...).
     """
@@ -92,7 +67,6 @@ def exact_densest(
     graph: Graph,
     h: int = 2,
     *,
-    flow_engine: str = "ggt",
     index: Optional[CliqueIndex] = None,
 ) -> DensestSubgraphResult:
     """Algorithm 1: exact CDS via parametric min cuts on the full graph.
@@ -103,14 +77,6 @@ def exact_densest(
         Input graph.
     h:
         Clique size of Ψ (h = 2 gives the classical EDS).
-    flow_engine:
-        ``"ggt"`` (default) replaces the binary search with a
-        breakpoint walk on one α-parametric network (a handful of warm
-        max-flow solves); ``"reuse"`` solves every binary-search
-        iteration on one α-parametric network; ``"rebuild"``
-        reconstructs the network per iteration (pre-parametric
-        behaviour, for the ablation).  All three return bit-identical
-        vertex sets and densities.
     index:
         Optional pre-built, unpeeled :class:`CliqueIndex` of
         ``graph`` for this ``h`` (the API layer builds one per call and
@@ -126,11 +92,14 @@ def exact_densest(
 
     Notes
     -----
-    The binary search stops when ``u - l < 1/(n(n-1))``: two distinct
-    subgraph densities differ by at least that much (Lemma 12), so the
-    last feasible cut is the optimum.
+    The paper's Algorithm 1 bisects ``α`` until ``u - l < 1/(n(n-1))``,
+    the least gap between two distinct subgraph densities (Lemma 12).
+    The walk needs no resolution: it starts at α = 0, and each solve
+    either returns the empty cut, which certifies α optimal, or a cut
+    whose exact density is the next α.  Its last non-empty cut is the
+    maximal densest subgraph (the union of all densest subsets).
+    ``iterations`` counts its max-flow solves.
     """
-    check_flow_engine(flow_engine)
     n = graph.num_vertices
     if n == 0:
         return DensestSubgraphResult(set(), 0.0, "Exact")
@@ -156,86 +125,30 @@ def exact_densest(
     # construction included), so trace and stats reconcile exactly.
     degraded: Optional[guard.BudgetExceeded] = None
     incumbent_source = "none"
-    with obs.span("exact.flow", engine=flow_engine, h=h) as flow_sp:
-        net = None
-        if flow_engine != "rebuild":
-            if h == 2:
-                net = build_eds_parametric(graph)
-            elif index.pattern is not None:
+    with obs.span("exact.flow", h=h) as flow_sp:
+        if h == 2:
+            net = build_eds_parametric(graph)
+            density_of = lambda s: graph.subgraph(s).num_edges / len(s)
+        else:
+            if index.pattern is not None:
                 net = build_pds_parametric(index)
             else:
                 net = build_cds_parametric(graph, h, index=index)
-
-        if flow_engine == "ggt":
-            if h == 2:
-                density_of = lambda s: graph.subgraph(s).num_edges / len(s)
-            else:
-                density_of = index.density_within
-            try:
-                cut, rho, iterations = net.max_density(density_of, low=0.0)
-            except guard.BudgetExceeded as exc:
-                # degrade: the walk's best breakpoint incumbent is an
-                # exact density of a real subgraph, just maybe not
-                # the optimum
-                degraded = exc
-                cut, rho = exc.incumbent, exc.incumbent_density
-                iterations = exc.budget.solves
-            network_sizes = [net.num_nodes] * iterations
-            if cut:
-                best, density = cut, rho  # ρ is the exact count/size ratio
-                incumbent_source = "walk"
-            else:
-                best = set(graph.vertices())
-                density = _best_subgraph_density(graph, best, h, index)
+            density_of = index.density_within
+        try:
+            cut, rho, iterations = net.max_density(density_of, low=0.0)
+        except guard.BudgetExceeded as exc:
+            # degrade: the walk's best breakpoint incumbent is an exact
+            # density of a real subgraph, just maybe not the optimum
+            degraded = exc
+            cut, rho = exc.incumbent, exc.incumbent_density
+            iterations = exc.budget.solves
+        network_sizes = [net.num_nodes] * iterations
+        if cut:
+            best, density = cut, rho  # ρ is the exact count/size ratio
+            incumbent_source = "walk"
         else:
-            low, high = 0.0, float(upper)
-            best: Optional[set[Vertex]] = None
-            iterations = 0
-            resolution = 1.0 / (n * (n - 1)) if n > 1 else 0.5
-            network_sizes: list[int] = []
-
-            try:
-                while high - low >= resolution:
-                    iterations += 1
-                    alpha = (low + high) / 2.0
-                    if net is not None:
-                        cut_vertices = net.solve(alpha)
-                        network_sizes.append(net.num_nodes)
-                    else:
-                        if h == 2:
-                            network = build_eds_network(graph, alpha)
-                        elif index.pattern is not None:
-                            network = build_pds_network(index, alpha)
-                        else:
-                            network = build_cds_network(graph, h, alpha, index=index)
-                        budget = guard.ACTIVE
-                        if budget is not None:
-                            budget.tick_solve(network.num_arcs)
-                        network_sizes.append(network.num_nodes)
-                        dinic.max_flow(network)
-                        if guard.CHECK:
-                            sanitize.check_flow_network(network)
-                        cut_vertices = vertices_of_cut(network.min_cut_source_side())
-                    if not cut_vertices:
-                        high = alpha
-                    else:
-                        low = alpha
-                        best = cut_vertices
-                        if net is not None:
-                            net.checkpoint()
-            except guard.BudgetExceeded as exc:
-                # degrade: the last feasible cut is a real subgraph whose
-                # density the search had already certified to be >= low
-                degraded = exc
-
-            if best is not None:
-                incumbent_source = "search"
-            else:
-                # ρ_opt below the first guess resolution (or the budget
-                # died before any feasible cut): densest is the
-                # max-degree vertex's best trivial subgraph; fall back to
-                # the whole graph.
-                best = set(graph.vertices())
+            best = set(graph.vertices())
             density = _best_subgraph_density(graph, best, h, index)
 
     result = DensestSubgraphResult(

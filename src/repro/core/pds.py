@@ -34,7 +34,7 @@ from ..patterns.pattern import Pattern
 from .clique_core import CliqueCoreResult
 from .core_app import core_app_densest
 from .core_exact import core_exact_densest
-from .exact import DensestSubgraphResult, check_flow_engine, exact_densest
+from .exact import DensestSubgraphResult, exact_densest
 from .inc_app import inc_app_densest
 from .pattern_core import (
     c4_peel_densest,
@@ -46,22 +46,19 @@ from .pattern_core import (
 from .peel import peel_densest
 
 
-def p_exact_densest(
-    graph: Graph, pattern: Pattern, *, flow_engine: str = "ggt"
-) -> DensestSubgraphResult:
+def p_exact_densest(graph: Graph, pattern: Pattern) -> DensestSubgraphResult:
     """Algorithm 8 (PExact): exact PDS on the full graph.
 
     One flow node per pattern instance; arcs ``v -> ψ`` capacity 1 and
-    ``ψ -> v`` capacity ``|V_Ψ| - 1``.  The ``flow_engine`` knob matches
-    :func:`~repro.core.exact.exact_densest`, which runs here.
+    ``ψ -> v`` capacity ``|V_Ψ| - 1``.
+    :func:`~repro.core.exact.exact_densest` runs here.
     """
-    check_flow_engine(flow_engine)
     with obs.span("pds.p_exact", pattern=pattern.name, n=graph.num_vertices):
         budget = guard.ACTIVE
         if budget is not None:
             budget.tick_round("pds.p_exact")
         index = pattern_index(graph, pattern)
-        result = exact_densest(graph, pattern.size, flow_engine=flow_engine, index=index)
+        result = exact_densest(graph, pattern.size, index=index)
     result.method = "PExact"
     result.stats["instances"] = index.m
     return result
@@ -72,28 +69,22 @@ def core_p_exact_densest(
     pattern: Pattern,
     *,
     decomposition: Optional[CliqueCoreResult] = None,
-    flow_engine: str = "ggt",
 ) -> DensestSubgraphResult:
     """CorePExact: exact PDS with pattern-core location and ``construct+``.
 
     CoreExact (Algorithm 4) over the pattern-instance index: pattern
     cores in place of clique-cores, the grouped flow network of
-    Algorithm 7 in place of Algorithm 1's, and the same Pruning1/2/3.
-    ``decomposition`` and ``flow_engine`` are passed through to
+    Algorithm 7 in place of Algorithm 1's, and the same Pruning1/2.
+    ``decomposition`` is passed through to
     :func:`~repro.core.core_exact.core_exact_densest`.
     """
-    check_flow_engine(flow_engine)
     with obs.span("pds.core_p_exact", pattern=pattern.name, n=graph.num_vertices):
         budget = guard.ACTIVE
         if budget is not None:
             budget.tick_round("pds.core_p_exact")
         index = pattern_index(graph, pattern)
         result = core_exact_densest(
-            graph,
-            pattern.size,
-            decomposition=decomposition,
-            flow_engine=flow_engine,
-            index=index,
+            graph, pattern.size, decomposition=decomposition, index=index
         )
     result.method = "CorePExact"
     result.stats["instances"] = index.m

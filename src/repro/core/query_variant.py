@@ -18,15 +18,9 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from ..flow import dinic
-from ..flow.builders import (
-    SOURCE,
-    build_eds_network,
-    build_eds_parametric,
-    vertices_of_cut,
-)
+from ..flow.builders import build_eds_parametric
 from ..graph.graph import Graph, Vertex
-from .exact import DensestSubgraphResult, check_flow_engine
+from .exact import DensestSubgraphResult
 from .kcore import core_decomposition
 
 
@@ -47,20 +41,15 @@ def anchored_core(graph: Graph, anchors: set[Vertex], k: int) -> Graph:
     return work
 
 
-def query_densest(
-    graph: Graph, query: Iterable[Vertex], *, flow_engine: str = "ggt"
-) -> DensestSubgraphResult:
+def query_densest(graph: Graph, query: Iterable[Vertex]) -> DensestSubgraphResult:
     """Densest (edge-density) subgraph containing every query vertex.
 
-    Binary search over α on a Goldberg network restricted to the
-    anchored core, with infinite source arcs pinning the query vertices
-    to the source side of every cut.  The default ``"ggt"`` engine
-    replaces the binary search with the discrete-Newton breakpoint
-    walk (each α guess is the exact density of the previous cut);
-    ``"reuse"`` keeps the binary search on one α-parametric anchored
-    network, rebuilt only when the anchored core shrinks, and
-    ``"rebuild"`` reconstructs it per iteration -- identical results,
-    the GGT walk in far fewer max-flow solves.
+    A discrete-Newton breakpoint walk over α on one α-parametric
+    Goldberg network restricted to the anchored core, with infinite
+    source arcs pinning the query vertices to the source side of every
+    cut: each α is the exact density of the previous cut, and the walk
+    stops at the first cut that cannot beat its own α.  ``iterations``
+    counts its max-flow solves.
 
     Raises
     ------
@@ -69,7 +58,6 @@ def query_densest(
     ValueError
         If the query set is empty.
     """
-    check_flow_engine(flow_engine)
     anchors = set(query)
     if not anchors:
         raise ValueError("query set must be non-empty")
@@ -90,68 +78,26 @@ def query_densest(
     # every non-anchor vertex of the optimum has degree >= ρ_opt >= low
     # inside it)
     domain = anchored_core(graph, anchors, math.ceil(low))
-    n = domain.num_vertices
-    high = float(domain.max_degree())
-    resolution = 1.0 / (n * (n - 1)) if n > 1 else 0.5
+    # the anchored min cut is never empty (anchors are pinned), so
+    # feasibility is the density test
+    net = build_eds_parametric(domain, anchors=anchors)
+    alpha = low
+    best_density = graph.subgraph(best).edge_density()
     iterations = 0
-    net = None
-
-    if flow_engine == "ggt":
-        # Newton walk: the anchored min cut is never empty (anchors are
-        # pinned), so feasibility is the density test; each new α is the
-        # exact density of the cut just found, and the walk stops the
-        # first time the cut cannot beat its own α.
-        net = build_eds_parametric(domain, anchors=anchors)
-        alpha = low
-        best_density = graph.subgraph(best).edge_density()
-        while True:
-            cut = net.solve(alpha)
-            iterations += 1
-            sub = domain.subgraph(cut)
-            density = sub.edge_density() if sub.num_vertices else 0.0
-            if density <= alpha:
-                break
-            if density > best_density:
-                best = cut
-                best_density = density
-            alpha = density
-        return DensestSubgraphResult(
-            vertices=set(best),
-            density=best_density,
-            method="QueryDensest",
-            iterations=iterations,
-        )
-
-    while high - low >= resolution:
+    while True:
+        cut = net.solve(alpha)
         iterations += 1
-        alpha = (low + high) / 2.0
-        if flow_engine == "reuse":
-            if net is None:
-                net = build_eds_parametric(domain, anchors=anchors)
-            cut = net.solve(alpha)
-        else:
-            network = build_eds_network(domain, alpha)
-            for q in anchors:
-                network.add_arc(SOURCE, ("v", q), float("inf"))
-            dinic.max_flow(network)
-            cut = vertices_of_cut(network.min_cut_source_side())
         sub = domain.subgraph(cut)
-        if sub.num_vertices and sub.edge_density() > alpha:
-            low = alpha
-            if sub.edge_density() > graph.subgraph(best).edge_density():
-                best = cut
-            if net is not None:
-                net.checkpoint()
-            shrunk = anchored_core(domain, anchors, math.ceil(low))
-            if shrunk.num_vertices < domain.num_vertices:
-                net = None  # topology changed: rebuild the parametric net
-            domain = shrunk
-        else:
-            high = alpha
-    sub = graph.subgraph(best)
+        density = sub.edge_density() if sub.num_vertices else 0.0
+        if density <= alpha:
+            break
+        if density > best_density:
+            best = cut
+            best_density = density
+        alpha = density
     return DensestSubgraphResult(
         vertices=set(best),
-        density=sub.edge_density(),
+        density=best_density,
         method="QueryDensest",
         iterations=iterations,
     )

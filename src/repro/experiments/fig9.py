@@ -3,8 +3,10 @@
 The paper plots, per h-clique, the node count of each flow network
 CoreExact builds: iteration "-1" is the network the plain Exact
 algorithm would build on the entire graph; iteration "0" is the first
-network built after core-location; subsequent iterations shrink as the
-binary search tightens the lower bound.
+network built after core-location.  In the paper each later iteration
+is a binary-search guess; here it is a max-flow solve of the breakpoint
+walk, and the networks shrink whenever the walk raises the lower bound
+past the next integer.
 """
 
 from __future__ import annotations

@@ -14,9 +14,7 @@ graph, so densities are non-increasing in i.
 
 from __future__ import annotations
 
-import inspect
-from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 from ..core.core_app import core_app_densest
 from ..core.exact import DensestSubgraphResult
@@ -28,7 +26,6 @@ def top_k_densest(
     k: int,
     h: int = 2,
     method: Callable[[Graph, int], DensestSubgraphResult] = core_app_densest,
-    flow_engine: Optional[str] = None,
 ) -> list[DensestSubgraphResult]:
     """Extract up to ``k`` disjoint dense subgraphs (peel-and-repeat).
 
@@ -43,10 +40,6 @@ def top_k_densest(
         The single-shot DSD algorithm to repeat, ``(graph, h) ->
         DensestSubgraphResult``; defaults to CoreApp.  Pass
         ``core_exact_densest`` for exact per-round optima.
-    flow_engine:
-        Forwarded to ``method`` when it accepts a ``flow_engine``
-        keyword (the exact flow-based algorithms accept ``"ggt"``,
-        ``"reuse"`` and ``"rebuild"``); ignored otherwise.
 
     Returns
     -------
@@ -54,13 +47,6 @@ def top_k_densest(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if flow_engine is not None:
-        try:
-            accepts = "flow_engine" in inspect.signature(method).parameters
-        except (TypeError, ValueError):  # builtins / partials without signature
-            accepts = False
-        if accepts:
-            method = partial(method, flow_engine=flow_engine)
     work = graph.copy()
     results: list[DensestSubgraphResult] = []
     for _ in range(k):

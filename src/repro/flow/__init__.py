@@ -1,7 +1,6 @@
 """Max-flow / min-cut substrate and DSD network builders."""
 
-from . import builders, dinic, push_relabel
-from .network import FlowNetwork
+from . import builders, dinic
 from .parametric import ParametricNetwork
 
-__all__ = ["FlowNetwork", "ParametricNetwork", "dinic", "push_relabel", "builders"]
+__all__ = ["ParametricNetwork", "dinic", "builders"]

@@ -1,29 +1,26 @@
 """Flow-network constructions for the exact DSD algorithms.
 
-Four builders, one per construction in the paper:
+Three builders, one per construction in the paper, each emitting a
+:class:`~repro.flow.parametric.ParametricNetwork` whose α-independent
+arc arrays are assembled once; the α-dependent sink capacities are
+rewritten in place by every solve:
 
-* :func:`build_eds_network` -- Goldberg's simplified network for the
-  edge-density case (Section 4.1, remark after Algorithm 1).
-* :func:`build_cds_network` -- Algorithm 1 lines 5-15: vertex nodes plus
-  one node per (h-1)-clique instance.
-* :func:`build_pds_network` -- PExact (Algorithm 8): one node per
+* :func:`build_eds_parametric` -- Goldberg's simplified network for the
+  edge-density case (Section 4.1, remark after Algorithm 1), optionally
+  with query vertices pinned to the source side.
+* :func:`build_cds_parametric` -- Algorithm 1 lines 5-15: vertex nodes
+  plus one node per (h-1)-clique instance.
+* :func:`build_pds_parametric` -- PExact (Algorithm 8): one node per
   pattern instance, arcs ``v -> ψ`` capacity 1, ``ψ -> v`` capacity
-  ``|V_Ψ| - 1``.
-* :func:`build_pds_network_grouped` -- ``construct+`` (Algorithm 7):
-  instances sharing a vertex set collapse into a group node ``g`` with
-  arcs ``v -> g`` capacity ``|g|`` and ``g -> v`` capacity
-  ``|g|(|V_Ψ| - 1)``.
+  ``|V_Ψ| - 1``; or, grouped, ``construct+`` (Algorithm 7): instances
+  sharing a vertex set collapse into a group node ``g`` with arcs
+  ``v -> g`` capacity ``|g|`` and ``g -> v`` capacity ``|g|(|V_Ψ| - 1)``.
 
-The two PDS constructions read the id rows of a pattern-instance
+The CDS and PDS constructions read the id rows of a
 :class:`~repro.cliques.index.CliqueIndex`: a group of ``construct+``
 is a distinct sorted row, weighted by how many rows sort to it.
 
-Each construction also has a ``*_parametric`` twin that emits a
-:class:`~repro.flow.parametric.ParametricNetwork`: the α-independent
-arc arrays are assembled once and the α-dependent sink capacities are
-rewritten in place by ``set_alpha`` across a whole binary search.
-
-All builders answer the decision question "is there a subgraph with
+Every network answers the decision question "is there a subgraph with
 Ψ-density > α?": after a max-flow run, the source side of the min cut
 minus ``s`` induces such a subgraph iff it is non-empty (Lemma 14).
 """
@@ -31,133 +28,16 @@ minus ``s`` induces such a subgraph iff it is non-empty (Lemma 14).
 from __future__ import annotations
 
 import functools
-from collections import Counter, defaultdict
-from typing import Iterable, Mapping, Optional, Sequence
+from collections import Counter
+from typing import Iterable, Optional, Sequence
 
 from .. import obs
-from ..cliques.enumeration import enumerate_cliques
 from ..cliques.index import CliqueIndex
 from ..graph.graph import Graph, Vertex
-from .network import FlowNetwork, np
+from .network import np
 from .parametric import ParametricNetwork
 
-#: Sentinel source / sink node labels (tuples cannot collide with vertices
-#: used by this package's builders, which wrap vertices as ("v", x)).
-SOURCE = ("s",)
-SINK = ("t",)
-
 INF = float("inf")
-
-
-def _vertex_node(v: Vertex) -> tuple:
-    return ("v", v)
-
-
-def _instance_node(idx: int) -> tuple:
-    return ("i", idx)
-
-
-def vertices_of_cut(cut_source_side: Iterable) -> set[Vertex]:
-    """Extract graph vertices from the source side of a min cut."""
-    return {node[1] for node in cut_source_side if isinstance(node, tuple) and node[0] == "v"}
-
-
-def build_eds_network(graph: Graph, alpha: float) -> FlowNetwork:
-    """Goldberg's EDS network for density guess ``alpha`` (Ψ = edge).
-
-    ``s -> v`` capacity ``m``; ``v -> t`` capacity ``m + 2α - deg(v)``;
-    each edge contributes unit arcs in both directions.
-    """
-    m = graph.num_edges
-    net = FlowNetwork(SOURCE, SINK)
-    for v in graph:
-        net.add_arc(SOURCE, _vertex_node(v), float(m))
-        net.add_arc(_vertex_node(v), SINK, m + 2.0 * alpha - graph.degree(v))
-    for u, v in graph.edges():
-        net.add_arc(_vertex_node(u), _vertex_node(v), 1.0)
-        net.add_arc(_vertex_node(v), _vertex_node(u), 1.0)
-    return net
-
-
-def build_cds_network(
-    graph: Graph,
-    h: int,
-    alpha: float,
-    h_cliques: Optional[Sequence[tuple[Vertex, ...]]] = None,
-    sub_cliques: Optional[Sequence[tuple[Vertex, ...]]] = None,
-    degrees: Optional[Mapping[Vertex, int]] = None,
-    index: Optional[CliqueIndex] = None,
-) -> FlowNetwork:
-    """Algorithm 1 network for the h-clique Ψ (h >= 3) and guess ``alpha``.
-
-    Parameters
-    ----------
-    h_cliques / sub_cliques / degrees:
-        Optional precomputed h-clique instances, (h-1)-clique instances
-        and clique-degrees; recomputed when omitted.  CoreExact passes
-        them in so each binary-search iteration only pays network
-        assembly, not clique enumeration.
-    index:
-        Alternatively a :class:`CliqueIndex` of ``graph``: the network
-        is assembled straight from the instance rows (the (h-1)-clique
-        nodes are the rows' member subsets, so uncovered (h-1)-cliques
-        -- isolated nodes that cannot carry flow -- are never created
-        and no (h-1)-enumeration happens at all).  Min cuts are
-        identical either way.
-    """
-    if h < 3:
-        raise ValueError("use build_eds_network for h == 2")
-    if index is not None:
-        return _cds_network_from_index(index, h, alpha)
-    if h_cliques is None:
-        h_cliques = list(enumerate_cliques(graph, h))
-    if sub_cliques is None:
-        sub_cliques = list(enumerate_cliques(graph, h - 1))
-    if degrees is None:
-        degrees = defaultdict(int)
-        for inst in h_cliques:
-            for v in inst:
-                degrees[v] += 1
-
-    net = FlowNetwork(SOURCE, SINK)
-    for v in graph:
-        net.add_arc(SOURCE, _vertex_node(v), float(degrees.get(v, 0)))
-        net.add_arc(_vertex_node(v), SINK, alpha * h)
-
-    psi_id: dict[frozenset, int] = {}
-    for idx, psi in enumerate(sub_cliques):
-        psi_id[frozenset(psi)] = idx
-        node = _instance_node(idx)
-        for v in psi:
-            net.add_arc(node, _vertex_node(v), INF)
-
-    # v -> ψ arcs: for each h-clique K and member v, ψ = K \ {v}.
-    for inst in h_cliques:
-        members = frozenset(inst)
-        for v in inst:
-            idx = psi_id.get(members - {v})
-            if idx is not None:
-                net.add_arc(_vertex_node(v), _instance_node(idx), 1.0)
-    return net
-
-
-def _cds_network_from_index(index: CliqueIndex, h: int, alpha: float) -> FlowNetwork:
-    """Algorithm-1 :class:`FlowNetwork` straight from the instance rows."""
-    labels = index.vertices
-    net = FlowNetwork(SOURCE, SINK)
-    for i, v in enumerate(labels):
-        net.add_arc(SOURCE, _vertex_node(v), float(index.base_degree[i]))
-        net.add_arc(_vertex_node(v), SINK, alpha * h)
-    psi_id: dict[tuple[int, ...], int] = {}
-    for vid, psi in index.member_subsets():
-        idx = psi_id.get(psi)
-        if idx is None:
-            idx = psi_id[psi] = len(psi_id)
-            node = _instance_node(idx)
-            for uid in psi:
-                net.add_arc(node, _vertex_node(labels[uid]), INF)
-        net.add_arc(_vertex_node(labels[vid]), _instance_node(idx), 1.0)
-    return net
 
 
 def _pds_nodes(index: CliqueIndex, grouped: bool) -> tuple[list, list[int]]:
@@ -176,49 +56,11 @@ def _pds_nodes(index: CliqueIndex, grouped: bool) -> tuple[list, list[int]]:
     return keys, [weight[key] for key in keys]
 
 
-def _pds_network(index: CliqueIndex, alpha: float, grouped: bool) -> FlowNetwork:
-    k = index.h
-    labels = index.vertices
-    net = FlowNetwork(SOURCE, SINK)
-    for i, v in enumerate(labels):
-        net.add_arc(SOURCE, _vertex_node(v), float(index.base_degree[i]))
-        net.add_arc(_vertex_node(v), SINK, alpha * k)
-    for idx, (members, weight) in enumerate(zip(*_pds_nodes(index, grouped))):
-        node = _instance_node(idx)
-        for vid in members:
-            net.add_arc(_vertex_node(labels[vid]), node, float(weight))
-            net.add_arc(node, _vertex_node(labels[vid]), float(weight * (k - 1)))
-    return net
-
-
-def build_pds_network(index: CliqueIndex, alpha: float) -> FlowNetwork:
-    """PExact network (Algorithm 8) over a pattern-instance index.
-
-    One node per row: the flow construction only needs the vertex
-    membership of each instance.  Instances on the same vertex set
-    appear as separate nodes -- exactly the redundancy ``construct+``
-    removes.
-    """
-    return _pds_network(index, alpha, grouped=False)
-
-
-def build_pds_network_grouped(index: CliqueIndex, alpha: float) -> FlowNetwork:
-    """``construct+`` network (Algorithm 7): instance groups by vertex set.
-
-    Each group ``g`` of rows on one vertex set becomes a single node;
-    ``v -> g`` has capacity ``|g|`` and ``g -> v`` capacity
-    ``|g|(|V_Ψ| - 1)`` (Lemma 11 proves cut equivalence with PExact).
-    """
-    return _pds_network(index, alpha, grouped=True)
-
-
 class _ParametricAssembler:
     """Accumulates paired arcs over dense integer node ids.
 
     Graph vertices take ids ``0..nv-1``, then source and sink; instance
-    or group nodes are allocated on demand after those.  Arc insertion
-    order matches the legacy per-α builders so the solvers traverse both
-    representations identically.
+    or group nodes are allocated on demand after those.
     """
 
     def __init__(self, vertices: Sequence[Vertex]):
@@ -310,61 +152,33 @@ def build_eds_parametric(graph: Graph, anchors: Iterable[Vertex] = ()) -> Parame
 
 @_flow_build_span
 def build_cds_parametric(
-    graph: Graph,
-    h: int,
-    h_cliques: Optional[Sequence[tuple[Vertex, ...]]] = None,
-    sub_cliques: Optional[Sequence[tuple[Vertex, ...]]] = None,
-    degrees: Optional[Mapping[Vertex, int]] = None,
-    index: Optional[CliqueIndex] = None,
+    graph: Graph, h: int, index: Optional[CliqueIndex] = None
 ) -> ParametricNetwork:
     """Parametric Algorithm-1 network (h >= 3): sink caps ``α·h``.
 
-    When ``index`` is given the arc arrays are emitted directly from
-    the flat instance rows: vertex ids are the index's internal ids,
-    source capacities are the precomputed clique-degrees, and the
-    (h-1)-clique nodes are allocated on first encounter while walking
-    the rows -- no tuple or frozenset materialisation, and no (h-1)
-    enumeration (uncovered (h-1)-cliques cannot carry flow, so
-    omitting their nodes leaves every min cut unchanged).  With numpy
-    those arrays are emitted vectorised (:func:`_cds_arrays_from_index`).
+    The arc arrays are emitted from the flat instance rows of ``index``
+    (a :class:`CliqueIndex` of ``graph`` for this ``h``, built here when
+    omitted): vertex ids are the index's internal ids, source
+    capacities are the precomputed clique-degrees, and the (h-1)-clique
+    nodes are allocated on first encounter while walking the rows -- no
+    tuple or frozenset materialisation, and no (h-1) enumeration
+    (uncovered (h-1)-cliques cannot carry flow, so omitting their nodes
+    leaves every min cut unchanged).  With numpy those arrays are
+    emitted vectorised (:func:`_cds_arrays_from_index`).
     """
     if h < 3:
         raise ValueError("use build_eds_parametric for h == 2")
-    if index is not None:
-        return _cds_parametric_from_index(index, h)
-    if h_cliques is None:
-        h_cliques = list(enumerate_cliques(graph, h))
-    if sub_cliques is None:
-        sub_cliques = list(enumerate_cliques(graph, h - 1))
-    if degrees is None:
-        degrees = defaultdict(int)
-        for inst in h_cliques:
-            for v in inst:
-                degrees[v] += 1
-
-    asm = _ParametricAssembler(list(graph))
-    for i, v in enumerate(asm.vertices):
-        src = asm.arc(asm.source, i, float(degrees.get(v, 0)))
-        asm.alpha_arc(i, asm.sink, 0.0, float(h), source_arc=src)
-
-    index = asm.index
-    ha, ca = asm.head.append, asm.cap.append  # inlined asm.arc: hot loops
-    psi_id: dict[frozenset, int] = {}
-    for psi in sub_cliques:
-        node = asm.aux_node()
-        psi_id[frozenset(psi)] = node
-        for v in psi:
-            ha(index[v]), ca(INF), ha(node), ca(0.0)
-
-    # v -> ψ arcs: for each h-clique K and member v, ψ = K \ {v}.
-    get_psi = psi_id.get
-    for inst in h_cliques:
-        members = frozenset(inst)
-        for v in inst:
-            node = get_psi(members - {v})
-            if node is not None:
-                ha(node), ca(1.0), ha(index[v]), ca(0.0)
-    return asm.build()
+    if index is None:
+        index = CliqueIndex(graph, h)
+    arrays = _cds_arrays_from_index(index, h) if np is not None and index.m else None
+    if arrays is None:
+        return _cds_parametric_loop(index, h)
+    num_nodes, head, cap, alpha_arcs, alpha_coeff, alpha_src = arrays
+    nv = len(index.vertices)
+    return ParametricNetwork(
+        num_nodes, nv, nv + 1, head, cap, alpha_arcs, alpha_coeff, index.vertices,
+        alpha_src=alpha_src,
+    )
 
 
 def _cds_arrays_from_index(index: CliqueIndex, h: int):
@@ -427,19 +241,6 @@ def _cds_arrays_from_index(index: CliqueIndex, h: int):
     )
 
 
-def _cds_parametric_from_index(index: CliqueIndex, h: int) -> ParametricNetwork:
-    """Parametric Algorithm-1 network straight from the instance rows."""
-    arrays = _cds_arrays_from_index(index, h) if np is not None and index.m else None
-    if arrays is None:
-        return _cds_parametric_loop(index, h)
-    num_nodes, head, cap, alpha_arcs, alpha_coeff, alpha_src = arrays
-    nv = len(index.vertices)
-    return ParametricNetwork(
-        num_nodes, nv, nv + 1, head, cap, alpha_arcs, alpha_coeff, index.vertices,
-        alpha_src=alpha_src,
-    )
-
-
 def _cds_parametric_loop(index: CliqueIndex, h: int) -> ParametricNetwork:
     """Parametric Algorithm-1 arc arrays from the rows, one pair at a time."""
     asm = _ParametricAssembler(index.vertices)
@@ -465,9 +266,11 @@ def _cds_parametric_loop(index: CliqueIndex, h: int) -> ParametricNetwork:
 def build_pds_parametric(index: CliqueIndex, grouped: bool = False) -> ParametricNetwork:
     """Parametric PDS network: Algorithm 8, or ``construct+`` if grouped.
 
-    Sink caps are ``α·|V_Ψ|``; the instance/group arcs are exactly those
-    of :func:`build_pds_network` / :func:`build_pds_network_grouped`,
-    emitted vectorised from the index rows when numpy is available.
+    Sink caps are ``α·|V_Ψ|``.  One node per row (Algorithm 8: the flow
+    construction only needs the vertex membership of each instance), or
+    with ``grouped`` one node per distinct sorted row (``construct+``,
+    whose min cut Lemma 11 proves equal), emitted vectorised from the
+    index rows when numpy is available.
     """
     if np is None or not index.m:
         return _pds_parametric_loop(index, grouped)

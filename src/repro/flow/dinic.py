@@ -1,6 +1,6 @@
 """Dinic's max-flow algorithm (BFS level graph + iterative blocking flow).
 
-The default min-cut engine of the reproduction.  O(V^2 E) in general,
+The one max-flow algorithm of the reproduction.  O(V^2 E) in general,
 much faster on the shallow, unit-ish networks that the DSD constructions
 produce (the paper's reference uses Gusfield's variant; any exact solver
 yields identical min cuts).  The blocking-flow DFS is iterative so deep
@@ -8,33 +8,20 @@ level graphs (the Goldberg EDS network chains vertex nodes) cannot hit
 the interpreter recursion limit.
 
 The solver runs on the flat arc arrays exposed by
-``network.flow_arrays()`` (both :class:`~repro.flow.network.FlowNetwork`
-and :class:`~repro.flow.parametric.ParametricNetwork` provide it) and
-dispatches through the :mod:`repro.accel` kernel registry: the numba
-tier compiles the whole BFS + DFS to native code; the numpy tier plans
-each phase in numpy from :data:`~repro.accel.vector.PLAN_MIN_ARCS`
-arc entries -- the level graph cut down to the arcs of shortest
-augmenting paths -- and runs the reference DFS on those arcs alone;
-the python tier runs the portable scalar loops.  All tiers are
-bit-identical.
+``network.flow_arrays()`` and dispatches through the :mod:`repro.accel`
+kernel registry: the numba tier compiles the whole BFS + DFS to native
+code; the numpy tier plans each phase in numpy from
+:data:`~repro.accel.vector.PLAN_MIN_ARCS` arc entries -- the level
+graph cut down to the arcs of shortest augmenting paths -- and runs the
+reference DFS on those arcs alone; the python tier runs the portable
+scalar loops.  All tiers are bit-identical.
 """
 
 from __future__ import annotations
 
 from .. import accel
 
-__all__ = ["max_flow", "min_cut", "solve_stats"]
-
-
-def solve_stats() -> dict:
-    """Work counters of the most recent traced max-flow call.
-
-    A copy of :data:`repro.accel.last_solve` (kernel, tier, arcs,
-    bfs_passes, augments, bfs_mode, seconds).  Populated only while
-    tracing is enabled (``obs.enable()`` / ``REPRO_TRACE``); empty
-    otherwise.
-    """
-    return dict(accel.last_solve)
+__all__ = ["max_flow"]
 
 
 def max_flow(network) -> float:
@@ -51,9 +38,3 @@ def max_flow(network) -> float:
     if source == sink:
         raise ValueError("source and sink must differ")
     return accel.dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs)
-
-
-def min_cut(network) -> tuple[float, set]:
-    """Max-flow value and the source-side node set of a minimum s-t cut."""
-    value = max_flow(network)
-    return value, network.min_cut_source_side()

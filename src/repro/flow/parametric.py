@@ -1,24 +1,21 @@
 """α-parametric flow networks: build the arcs once, re-solve many times.
 
 Every flow construction in the paper (Goldberg EDS, the Algorithm-1 CDS
-network, the PDS networks of Algorithms 7/8) shares one shape across the
-binary search on the density guess α: *only the ``v → t`` sink-arc
-capacities depend on α*, and each is an affine function ``base +
-coeff·α`` with ``coeff > 0``.  The topology, the source arcs and the
-middle arcs never change.
+network, the PDS networks of Algorithms 7/8) shares one shape across all
+density guesses α: *only the ``v → t`` sink-arc capacities depend on
+α*, and each is an affine function ``base + coeff·α`` with ``coeff >
+0``.  The topology, the source arcs and the middle arcs never change.
 
 :class:`ParametricNetwork` exploits that.  It stores the network as flat
 paired arc arrays plus a CSR adjacency index (built once, with numpy
-when available), remembers which arcs are α-dependent, and offers three
-re-solve strategies, cheapest first:
+when available), remembers which arcs are α-dependent, and re-solves
+with Dinic from the cheapest valid starting flow:
 
-* **advance** -- the requested α is at least the α of the current
+* **noop** -- the requested α is the α of the current residual state,
+  which is already a max flow there.
+* **advance** -- the requested α is above the α of the current
   residual state.  Capacities only grow, so the flow already in the
   network stays feasible; Dinic merely augments the difference.
-* **checkpoint restore** -- the caller recorded the residual state at
-  the best feasible lower bound (``checkpoint()``); any later guess of
-  the binary search exceeds that bound, so the network restores the
-  checkpointed max flow in one O(E) copy and advances from there.
 * **retreat** -- the requested α is below the α of the current residual
   state.  Sink capacities shrink, so the flow on some ``v → t`` arcs may
   exceed the new capacity; each such arc is clamped and the excess is
@@ -29,16 +26,17 @@ re-solve strategies, cheapest first:
   ``base + coeff·α`` and the flow starts from zero (bit-equal to a
   fresh build at that α).
 
-On top of the warm-start repertoire sit two breakpoint drivers that
-remove the binary search from the exact algorithms entirely:
+On top of the warm-start repertoire sit the two breakpoint drivers the
+solvers call; neither runs a binary search over α:
 
 * :meth:`ParametricNetwork.max_density` -- a discrete-Newton /
   Dinkelbach walk over the breakpoints of the parametric min-cut
-  function.  Every iterate is the exact density of a cut it just
-  produced, so the walk lands on true breakpoints and terminates at the
-  optimal α with its minimal cut after a handful of solves (instead of
-  the ``O(log n²)`` iterations of the ``1/(n(n-1))``-resolution binary
-  search).
+  function (the increasing-α half of Gallo–Grigoriadis–Tarjan).  Every
+  iterate is the exact density of a cut it just produced, so the walk
+  lands on true breakpoints and terminates at the optimal α with its
+  minimal cut after a handful of solves, where the paper's Algorithms
+  1 and 4 bisect α down to a ``1/(n(n-1))`` resolution with one min
+  cut per guess.
 * :meth:`ParametricNetwork.solve_breakpoints` -- the full GGT divide
   and conquer: enumerate *all* breakpoints of the piecewise-linear
   min-cut capacity on an interval by recursively probing cut-line
@@ -62,6 +60,7 @@ from typing import Optional, Sequence
 
 from .. import accel, guard, obs
 from ..guard import sanitize
+from . import dinic
 from .network import EPS, build_csr, np, source_reachable
 
 
@@ -98,8 +97,6 @@ class ParametricNetwork:
         "vertex_labels",
         "_alpha",
         "_canceled",
-        "_checkpoint_alpha",
-        "_checkpoint_cap",
         "_min_coeff",
         "_coeff_by_arc",
     )
@@ -143,8 +140,6 @@ class ParametricNetwork:
         self.cap = base_cap.copy()
         self._alpha: Optional[float] = None
         self._canceled = False
-        self._checkpoint_alpha: Optional[float] = None
-        self._checkpoint_cap = None
         self._coeff_by_arc = None
 
     @property
@@ -264,44 +259,32 @@ class ParametricNetwork:
         as saturated, so a step that opens each sink arc by less than a
         comfortable multiple of EPS could leave true augmenting paths
         invisible and flip the feasibility verdict; such steps take the
-        cold reset instead.  Binary searches stop at a resolution of
-        ``1/(n(n-1))``, far above this threshold at any tractable scale.
+        cold reset instead.  Breakpoints of distinct subgraph densities
+        lie at least ``1/(n(n-1))`` apart (Lemma 12), far above this
+        threshold at any tractable scale.
         """
         return delta * self._min_coeff > 10.0 * EPS
 
-    def checkpoint(self) -> None:
-        """Record the current residual state as a warm-start base.
-
-        Call after a solve whose α became the binary search's new lower
-        bound: every later guess is ≥ that α, so every later solve can
-        restore this max flow instead of starting from zero.
-        """
-        if self._canceled:  # normalise direct set_alpha/max_flow usage
-            self._uncancel()
-        self._checkpoint_alpha = self._alpha
-        self._checkpoint_cap = self.cap.copy()
-
-    def solve(self, alpha: float, solver=None) -> set:
+    def solve(self, alpha: float) -> set:
         """Max-flow at ``alpha``; return the source-side cut vertex set.
 
-        Picks the cheapest valid warm-start (advance > checkpoint >
-        retreat > cold reset), runs the solver (Dinic by default), and returns the
-        graph vertices on the source side of the minimal min cut
-        (excluding source/instance nodes) -- non-empty iff a subgraph
-        with Ψ-density above ``alpha`` exists (Lemma 14).
+        Picks the cheapest valid warm start (noop > advance > retreat >
+        cold reset), runs Dinic, and returns the graph vertices on the
+        source side of the minimal min cut (excluding source/instance
+        nodes) -- non-empty iff a subgraph with Ψ-density above
+        ``alpha`` exists (Lemma 14).
         """
-        self._solve_residual(alpha, solver)
+        self._solve_residual(alpha)
         return self.cut_vertices()
 
-    def _solve_residual(self, alpha: float, solver=None) -> None:
-        """Warm-start to ``alpha`` and run the solver; no cut extraction.
+    def _solve_residual(self, alpha: float) -> None:
+        """Warm-start to ``alpha`` and run Dinic; no cut extraction.
 
         When tracing is on (:data:`repro.obs.ENABLED`) each call emits
         one ``flow.solve`` event carrying α, the warm-start mode chosen
-        by the decision chain below, the engine, the active kernel tier,
-        the network size, the wall time, and the kernel work counters
-        (BFS passes / augments for Dinic, pushes / relabels for
-        push-relabel) read back from :data:`repro.accel.last_solve`.
+        by the decision chain below, the active kernel tier, the network
+        size, the wall time, and Dinic's work counters (BFS passes and
+        augments) read back from :data:`repro.accel.last_solve`.
 
         This is also the guard layer's checkpoint: an active
         :class:`repro.guard.Budget` is ticked *before* any warm-start
@@ -325,16 +308,6 @@ class ParametricNetwork:
             mode = "advance"
             self._advance_alpha(alpha)
         elif (
-            self._checkpoint_cap is not None
-            and self._checkpoint_alpha is not None
-            and alpha >= self._checkpoint_alpha
-            and self._warm_step_ok(alpha - self._checkpoint_alpha)
-        ):
-            mode = "checkpoint"
-            self.cap[:] = self._checkpoint_cap
-            self._alpha = self._checkpoint_alpha
-            self._advance_alpha(alpha)
-        elif (
             self._alpha is not None
             and alpha < self._alpha
             and self._warm_step_ok(self._alpha - alpha)
@@ -344,9 +317,7 @@ class ParametricNetwork:
         else:
             mode = "cold"
             self.set_alpha(alpha)
-        if solver is None:
-            from . import dinic as solver  # late import avoids a cycle
-        solver.max_flow(self)
+        dinic.max_flow(self)
         if self._canceled:
             self._uncancel()
         if guard.CHECK:
@@ -356,7 +327,6 @@ class ParametricNetwork:
             fields = {
                 "alpha": alpha,
                 "mode": mode,
-                "engine": solver.__name__.rsplit(".", 1)[-1],
                 "tier": work.pop("tier", accel.TIER),
                 "nodes": self.num_nodes,
                 "arcs": self.num_arcs,
@@ -408,9 +378,7 @@ class ParametricNetwork:
                 b_term += coeff_of(arc, 0.0)
         return a_term, b_term
 
-    def max_density(
-        self, density_of, low: float = 0.0, solver=None
-    ) -> tuple[Optional[set], float, int]:
+    def max_density(self, density_of, low: float = 0.0) -> tuple[Optional[set], float, int]:
         """Optimal α and its minimal cut, no binary search (GGT/Newton walk).
 
         A discrete-Newton (Dinkelbach) iteration on the parametric
@@ -431,8 +399,6 @@ class ParametricNetwork:
         low:
             Starting guess, a valid lower bound on the optimum (0 is
             always sound).
-        solver:
-            Max-flow solver module; Dinic by default.
 
         Returns
         -------
@@ -447,7 +413,7 @@ class ParametricNetwork:
         solves = 0
         while True:
             try:
-                cut = self.solve(alpha, solver)
+                cut = self.solve(alpha)
             except guard.BudgetExceeded as exc:
                 # hand the walk's incumbent to whoever degrades gracefully
                 exc.attach_incumbent(best, best_density)
@@ -455,9 +421,6 @@ class ParametricNetwork:
             solves += 1
             if not cut:
                 break
-            # no checkpoint: α never decreases in the walk, so the
-            # advance warm start always applies and a snapshot would
-            # be an O(E) copy that is provably never restored
             density = density_of(cut)
             if best is None or density > best_density:
                 best = cut
@@ -468,7 +431,7 @@ class ParametricNetwork:
         return best, (best_density if best is not None else low), solves
 
     def solve_breakpoints(
-        self, alpha_lo: float, alpha_hi: float, solver=None, tol: float = 1e-9
+        self, alpha_lo: float, alpha_hi: float, tol: float = 1e-9
     ) -> list[tuple[float, set]]:
         """All breakpoints of the min-cut function on ``[alpha_lo, alpha_hi]``.
 
@@ -491,7 +454,7 @@ class ParametricNetwork:
         nv = len(labels)
 
         def probe(alpha: float) -> tuple[frozenset, tuple[float, float]]:
-            self._solve_residual(alpha, solver)
+            self._solve_residual(alpha)
             nodes = self.min_cut_source_side()
             return frozenset(nodes), self.cut_line(nodes)
 

@@ -131,20 +131,6 @@ def check_parametric(net) -> None:
             _fail(context, "numpy cut differs from the scalar residual reachable set")
 
 
-def check_flow_network(network) -> None:
-    """Validate a solved one-shot :class:`~repro.flow.network.FlowNetwork`.
-
-    One-shot networks start from zero flow, so each forward arc's
-    original capacity is recoverable as ``residual + reverse-residual``
-    (infinite arcs keep their infinite residual).
-    """
-    source, sink, head, cap, adj_start, adj_arcs = network.flow_arrays()
-    orig = [0.0] * len(head)
-    for a in range(0, len(head), 2):
-        orig[a] = cap[a] if math.isinf(cap[a]) else cap[a] + cap[a ^ 1]
-    _check_flow_state(source, sink, head, cap, orig, adj_start, adj_arcs, "flow network solve")
-
-
 def check_peel_round(prev_num_alive: int, num_alive: int, context: str = "peel") -> None:
     """Peel monotonicity: live instances never increase across a round."""
     if num_alive > prev_num_alive:

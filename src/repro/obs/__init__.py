@@ -5,7 +5,7 @@ the clique index, the exact/approximate solvers, the public API)
 reports what it does through this module, so a single run yields a
 complete nested profile: which phases ran, how long each took, how many
 max-flow solves happened at which α, warm or cold, on which accel tier,
-with how many BFS/DFS or discharge passes.
+with how many BFS passes and augmenting paths.
 
 Three primitives, one collector:
 
@@ -80,7 +80,7 @@ FLOW_SOLVE = "flow.solve"
 
 #: Span-event modes counted as warm in the flow rollup (everything the
 #: warm-start repertoire covers; ``"cold"`` is the set_alpha reset).
-WARM_MODES = ("noop", "advance", "checkpoint", "retreat")
+WARM_MODES = ("noop", "advance", "retreat")
 
 
 class Collector:
@@ -239,7 +239,7 @@ class Span:
 
     Usage::
 
-        with obs.span("exact.flow", engine="ggt") as sp:
+        with obs.span("exact.flow", h=3) as sp:
             ...
         stats["flow_seconds"] = sp.seconds
     """

@@ -2,13 +2,13 @@
 
 The ``make trace-smoke`` entry point (CI runs it too).  Solves a small
 but non-trivial workload -- Exact and CoreExact, edge and triangle
-densities, all three flow engines -- with tracing streamed to a JSONL
-file, then validates every record against the schema in
-:mod:`repro.obs.validate` and prints the per-phase rollup.  Exits
-non-zero on any schema error, on a trace with no ``flow.solve``
-events, or when the legacy ``stats`` timings stop reconciling with the
-span durations (they are built from the same floats, so the comparison
-is exact equality).
+densities -- with tracing streamed to a JSONL file, then validates
+every record against the schema in :mod:`repro.obs.validate` and
+prints the per-phase rollup.  Exits non-zero on any schema error, on a
+trace with no ``flow.solve`` events or no warm-started ones, or when
+the legacy ``stats`` timings stop reconciling with the span durations
+(they are built from the same floats, so the comparison is exact
+equality).
 
 Usage::
 
@@ -46,22 +46,16 @@ def run(path: str) -> int:
     failures: list[str] = []
     for method in ("exact", "core-exact"):
         for h in (2, 3):
-            for engine in ("ggt", "reuse", "rebuild"):
-                result = api.densest_subgraph(
-                    graph, h, method=method, flow_engine=engine
-                )
-                stats = result.stats
-                # stats are built from span.seconds, so the last span of
-                # each phase must carry exactly the stats float.
-                sp = obs.get_collector().spans(
-                    f"{method.replace('-', '_')}.flow"
-                )
-                if sp and "flow_seconds" in stats:
-                    if sp[-1]["dur_s"] != stats["flow_seconds"]:
-                        failures.append(
-                            f"{method} h={h} {engine}: flow span "
-                            f"{sp[-1]['dur_s']} != stats {stats['flow_seconds']}"
-                        )
+            stats = api.densest_subgraph(graph, h, method=method).stats
+            # stats are built from span.seconds, so the last span of
+            # each phase must carry exactly the stats float.
+            sp = obs.get_collector().spans(f"{method.replace('-', '_')}.flow")
+            if sp and "flow_seconds" in stats:
+                if sp[-1]["dur_s"] != stats["flow_seconds"]:
+                    failures.append(
+                        f"{method} h={h}: flow span "
+                        f"{sp[-1]['dur_s']} != stats {stats['flow_seconds']}"
+                    )
 
     rollup = obs.summary()
     obs.close()

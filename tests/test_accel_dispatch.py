@@ -29,7 +29,6 @@ from repro.core.core_exact import core_exact_densest
 from repro.core.exact import exact_densest
 from repro.core.peel import peel_densest
 from repro.extensions.size_constrained import densest_at_least, densest_at_most
-from repro.flow import dinic, push_relabel
 from repro.flow.builders import build_cds_parametric, build_eds_parametric
 
 from .conftest import random_graph
@@ -111,7 +110,7 @@ class TestSelection:
         if HAS_NUMPY:
             assert tier == "numpy"
             assert kernels["dinic"] == "numpy"
-            assert kernels["push_relabel"] == "python"
+            assert kernels["ggt_retreat"] == "python"
         else:  # pragma: no cover - environment-specific
             assert tier == "python"
 
@@ -161,26 +160,8 @@ class TestFlowKernelBitIdentity:
         for tier in TIERS:
             accel.select_tier(tier)
             net = random_network(seed, n=12 + seed % 7, arcs=30 + seed)
-            value = dinic.max_flow(net)
-            results[tier] = (value, list(net.cap), net.min_cut_source_side())
-        base = results[TIERS[0]]
-        for tier in TIERS[1:]:
-            assert results[tier] == base, tier  # floats compared exactly
-
-    @pytest.mark.parametrize("seed", range(50))
-    def test_push_relabel_bit_identical_and_matches_dinic(self, seed):
-        accel.select_tier(TIERS[0])
-        ref_net = random_network(seed, n=12 + seed % 7, arcs=30 + seed)
-        dinic.max_flow(ref_net)
-        dinic_cut = ref_net.min_cut_source_side()
-        results = {}
-        for tier in TIERS:
-            accel.select_tier(tier)
-            net = random_network(seed, n=12 + seed % 7, arcs=30 + seed)
-            value = push_relabel.max_flow(net)
-            cut = net.min_cut_source_side()
-            assert cut == dinic_cut  # unique minimal min cut
-            results[tier] = (value, list(net.cap), cut)
+            value = net.max_flow()
+            results[tier] = (value, list(net.cap), net.source_side())
         base = results[TIERS[0]]
         for tier in TIERS[1:]:
             assert results[tier] == base, tier
@@ -192,14 +173,14 @@ class TestFlowKernelBitIdentity:
         value, residual floats and cut as the python tier."""
         accel.select_tier("python")
         ref = random_network(seed)
-        ref_value = dinic.max_flow(ref)
+        ref_value = ref.max_flow()
         monkeypatch.setattr(accel.vector, "PLAN_MIN_ARCS", 0)
         accel.select_tier("numpy")
         net = random_network(seed)
-        value = dinic.max_flow(net)
+        value = net.max_flow()
         assert value == ref_value
-        assert net.cap == ref.cap
-        assert net.min_cut_source_side() == ref.min_cut_source_side()
+        assert list(net.cap) == list(ref.cap)
+        assert net.source_side() == ref.source_side()
 
 
 # --------------------------------------------------------------------

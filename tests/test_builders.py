@@ -1,4 +1,8 @@
-"""Tests for the DSD flow-network constructions."""
+"""Tests for the DSD flow-network constructions.
+
+The decision tests solve each parametric network cold, on a fresh
+build, at the guess α.
+"""
 
 import random
 
@@ -6,14 +10,8 @@ import pytest
 
 from repro.cliques.enumeration import count_cliques
 from repro.cliques.index import CliqueIndex
-from repro.flow import builders, dinic
-from repro.flow.builders import (
-    build_cds_network,
-    build_eds_network,
-    build_pds_network,
-    build_pds_network_grouped,
-    vertices_of_cut,
-)
+from repro.flow import builders
+from repro.flow.builders import build_cds_parametric, build_eds_parametric, build_pds_parametric
 from repro.core.pattern_core import pattern_index
 from repro.graph.graph import Graph, complete_graph
 from repro.patterns.pattern import get_pattern
@@ -24,9 +22,7 @@ from .test_clique_index import GRAPHS, H_VALUES
 
 def decision_eds(graph, alpha) -> bool:
     """Decision oracle: does a subgraph with edge-density > alpha exist?"""
-    net = build_eds_network(graph, alpha)
-    dinic.max_flow(net)
-    return bool(vertices_of_cut(net.min_cut_source_side()))
+    return bool(build_eds_parametric(graph).solve(alpha))
 
 
 class TestEdsNetwork:
@@ -47,16 +43,14 @@ class TestEdsNetwork:
 
     def test_cut_vertices_form_dense_subgraph(self):
         g = random_graph(20, 60, seed=1)
-        net = build_eds_network(g, 1.2)
-        dinic.max_flow(net)
-        cut = vertices_of_cut(net.min_cut_source_side())
+        cut = build_eds_parametric(g).solve(1.2)
         if cut:
             sub = g.subgraph(cut)
             assert sub.edge_density() > 1.2
 
     def test_node_count(self):
         g = random_graph(10, 20, seed=2)
-        net = build_eds_network(g, 1.0)
+        net = build_eds_parametric(g)
         assert net.num_nodes == g.num_vertices + 2
 
 
@@ -64,25 +58,21 @@ class TestCdsNetwork:
     def test_triangle_decision(self):
         g = complete_graph(4)  # triangle density 4/4 = 1.0
         for alpha, feasible in [(0.5, True), (0.99, True), (1.01, False)]:
-            net = build_cds_network(g, 3, alpha)
-            dinic.max_flow(net)
-            assert bool(vertices_of_cut(net.min_cut_source_side())) is feasible
+            assert bool(build_cds_parametric(g, 3).solve(alpha)) is feasible
 
     def test_h2_rejected(self):
         with pytest.raises(ValueError):
-            build_cds_network(Graph([(0, 1)]), 2, 0.5)
+            build_cds_parametric(Graph([(0, 1)]), 2)
 
     def test_node_count_includes_sub_cliques(self):
-        g = complete_graph(5)
-        net = build_cds_network(g, 3, 0.5)
+        g = complete_graph(5)  # every edge lies in a triangle
+        net = build_cds_parametric(g, 3)
         assert net.num_nodes == 5 + count_cliques(g, 2) + 2
 
     def test_cut_subgraph_is_denser_than_alpha(self):
         g = random_graph(15, 55, seed=3)
         alpha = 0.4
-        net = build_cds_network(g, 3, alpha)
-        dinic.max_flow(net)
-        cut = vertices_of_cut(net.min_cut_source_side())
+        cut = build_cds_parametric(g, 3).solve(alpha)
         if cut:
             sub = g.subgraph(cut)
             assert count_cliques(sub, 3) / sub.num_vertices > alpha
@@ -93,26 +83,28 @@ class TestPdsNetworks:
     def test_decision_for_diamond_rows(self, grouped):
         g = complete_graph(4)  # 3 C4s on 4 vertices: density 0.75
         index = pattern_index(g, get_pattern("diamond"))
-        build = build_pds_network_grouped if grouped else build_pds_network
         for alpha, feasible in [(0.5, True), (0.74, True), (0.76, False)]:
-            net = build(index, alpha)
-            dinic.max_flow(net)
-            assert bool(vertices_of_cut(net.min_cut_source_side())) is feasible
+            cut = build_pds_parametric(index, grouped=grouped).solve(alpha)
+            assert bool(cut) is feasible
 
     def test_grouped_and_plain_cut_values_agree_on_rows(self):
         # Lemma 11: identical min-cut capacity
         g = random_graph(12, 35, seed=4)
         index = pattern_index(g, get_pattern("2-star"))
         for alpha in (0.5, 2.0, 5.0):
-            plain = build_pds_network(index, alpha)
-            grouped = build_pds_network_grouped(index, alpha)
-            assert dinic.max_flow(plain) == pytest.approx(dinic.max_flow(grouped), abs=1e-6)
+            values = []
+            for grouped in (False, True):
+                net = build_pds_parametric(index, grouped=grouped)
+                net.solve(alpha)
+                a_term, b_term = net.cut_line()
+                values.append(a_term + b_term * alpha)
+            assert values[0] == pytest.approx(values[1], abs=1e-6)
 
     def test_grouped_network_has_one_node_per_vertex_set(self):
         g = complete_graph(4)
         index = pattern_index(g, get_pattern("diamond"))
-        plain = build_pds_network(index, 0.5)
-        grouped = build_pds_network_grouped(index, 0.5)
+        plain = build_pds_parametric(index)
+        grouped = build_pds_parametric(index, grouped=True)
         # s, t, 4 vertices, then 3 instance nodes or 1 group of weight 3
         assert (plain.num_nodes, grouped.num_nodes) == (9, 7)
 

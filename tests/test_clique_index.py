@@ -184,8 +184,8 @@ class TestSolverEquivalence:
             expected = None
             for use_numpy in KERNEL_MODES:
                 index = CliqueIndex(g, h, use_numpy=use_numpy)
-                for engine in ("ggt", "reuse"):
-                    got = exact_densest(g, h, flow_engine=engine, index=index)
+                for _ in range(2):
+                    got = exact_densest(g, h, index=index)
                     if expected is None:
                         expected = got
                     assert got.vertices == expected.vertices
@@ -197,8 +197,8 @@ class TestSolverEquivalence:
             expected = None
             for use_numpy in KERNEL_MODES:
                 index = CliqueIndex(g, h, use_numpy=use_numpy)
-                for engine in ("ggt", "reuse", "rebuild"):
-                    got = core_exact_densest(g, h, flow_engine=engine, index=index)
+                for _ in range(2):
+                    got = core_exact_densest(g, h, index=index)
                     if expected is None:
                         expected = got
                     assert got.vertices == expected.vertices

@@ -6,10 +6,9 @@ other, carrying the lower bound from each component to the next.  A
 50-graph matrix of multi-component random graphs pins that serial
 component loop against the whole-graph paths:
 
-* CoreExact returns the same vertex set and density under all three
-  flow engines, and its density equals the whole-graph Exact walk's and
-  the best single component's, bit for bit (``==`` on floats: equal
-  rationals round identically);
+* CoreExact's density equals the whole-graph Exact walk's and the best
+  single component's, bit for bit (``==`` on floats: equal rationals
+  round identically);
 * the whole-graph Exact walk is the merge of the per-component walks --
   the densest component wins, exact-float ties union, and the density
   is the one division ``Σ counts / |union|`` -- the argument
@@ -34,7 +33,7 @@ import pytest
 from repro import api, guard
 from repro.cliques.index import CliqueIndex
 from repro.core.core_exact import core_exact_densest
-from repro.core.exact import FLOW_ENGINES, exact_densest
+from repro.core.exact import exact_densest
 from repro.core.peel import peel_densest
 from repro.graph.graph import Graph
 
@@ -102,11 +101,7 @@ def _components(graph: Graph) -> list[Graph]:
 @pytest.mark.parametrize("seed", range(50))
 def test_core_exact_component_loop_matches_the_whole_graph(seed):
     g, h = _graph(seed), _h(seed)
-    runs = [core_exact_densest(g, h, flow_engine=e) for e in FLOW_ENGINES]
-    core = runs[0]
-    for other in runs[1:]:
-        assert other.vertices == core.vertices, (seed, h, other.stats["flow_engine"])
-        assert other.density == core.density, (seed, h, other.stats["flow_engine"])
+    core = core_exact_densest(g, h)
     exact = exact_densest(g, h)
     assert core.density == exact.density, (seed, h)
     best_alone = max(exact_densest(sub, h).density for sub in _components(g))

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro.cliques.index import CliqueIndex
 from repro.core.core_exact import core_exact_densest
 from repro.core.exact import exact_densest
 from repro.graph.graph import Graph, complete_graph
@@ -36,15 +37,31 @@ class TestAgreesWithExact:
 class TestPruningVariants:
     @pytest.mark.parametrize(
         "flags",
-        list(itertools.product([False, True], repeat=3)),
+        list(itertools.product([False, True], repeat=2)),
         ids=lambda f: "P" + "".join(str(int(x)) for x in f),
     )
     def test_all_pruning_combinations_agree(self, flags):
-        p1, p2, p3 = flags
+        p1, p2 = flags
         g = random_graph(20, 60, seed=8)
         reference = exact_densest(g, 3).density
-        result = core_exact_densest(g, 3, pruning1=p1, pruning2=p2, pruning3=p3)
+        result = core_exact_densest(g, 3, pruning1=p1, pruning2=p2)
         assert result.density == pytest.approx(reference, abs=1e-9)
+
+    @pytest.mark.parametrize("h", [2, 4])
+    @pytest.mark.parametrize(
+        "flags",
+        list(itertools.product([False, True], repeat=2)),
+        ids=lambda f: "P" + "".join(str(int(x)) for x in f),
+    )
+    def test_pruning_combinations_for_edges_and_4_cliques(self, flags, h):
+        """Every pruning combination returns a set whose recounted
+        density is Exact's, bit for bit."""
+        p1, p2 = flags
+        g = random_graph(20, 60, seed=8) if h == 2 else random_graph(18, 70, seed=3)
+        reference = exact_densest(g, h).density
+        result = core_exact_densest(g, h, pruning1=p1, pruning2=p2)
+        assert result.density == reference
+        assert CliqueIndex(g, h).density_within(result.vertices) == reference
 
     def test_pruned_networks_not_larger_than_exact(self):
         g = random_graph(30, 90, seed=4)

@@ -1,132 +1,139 @@
-"""Tests for the max-flow solvers and network representation."""
+"""Tests for Dinic on paired arc arrays, against networkx's max flow."""
+
+import random
 
 import networkx as nx
 import pytest
 
-from repro.flow import dinic, push_relabel
-from repro.flow.network import FlowNetwork
+from repro.flow import dinic
+from repro.flow.network import build_csr, np, source_reachable
 
 
-def build_classic() -> FlowNetwork:
-    """The CLRS example network with known max flow 23."""
-    net = FlowNetwork("s", "t")
-    arcs = [
-        ("s", "v1", 16), ("s", "v2", 13),
-        ("v1", "v3", 12), ("v2", "v1", 4), ("v2", "v4", 14),
-        ("v3", "v2", 9), ("v3", "t", 20),
-        ("v4", "v3", 7), ("v4", "t", 4),
-    ]
-    for u, v, c in arcs:
-        net.add_arc(u, v, float(c))
-    return net
+class ArcNetwork:
+    """Paired arc arrays over named nodes: the layout Dinic runs on.
+
+    ``arcs`` are ``(u, v, capacity)`` triples; arc ``2i`` is the i-th
+    triple and arc ``2i + 1`` its reverse.  The source takes id 0, the
+    sink id 1 and every other node the next id on first appearance.
+    With numpy importable the arrays are numpy, as a parametric
+    network's are; otherwise lists.
+    """
+
+    def __init__(self, arcs, source="s", sink="t"):
+        self.arcs = [(u, v, float(c)) for u, v, c in arcs]
+        self.names = list(dict.fromkeys([source, sink]))
+        ids = {name: i for i, name in enumerate(self.names)}
+        head, cap = [], []
+        for u, v, c in self.arcs:
+            for name in (u, v):
+                if name not in ids:
+                    ids[name] = len(self.names)
+                    self.names.append(name)
+            head += [ids[v], ids[u]]
+            cap += [c, 0.0]
+        if np is not None:
+            head = np.asarray(head, dtype=np.int32)
+            cap = np.asarray(cap, dtype=np.float64)
+        self.source, self.sink = ids[source], ids[sink]
+        self.head, self.cap = head, cap
+        self.adj_start, self.adj_arcs = build_csr(head, len(self.names))
+
+    def flow_arrays(self):
+        return self.source, self.sink, self.head, self.cap, self.adj_start, self.adj_arcs
+
+    def max_flow(self) -> float:
+        return dinic.max_flow(self)
+
+    def source_side(self) -> set:
+        """Node names reachable from the source in the residual network."""
+        seen = source_reachable(self.head, self.cap, self.adj_start, self.adj_arcs, self.source)
+        return {name for name, flag in zip(self.names, seen) if flag}
+
+    def cut_capacity(self, side) -> float:
+        """Original capacity of the arcs leaving the node set ``side``."""
+        return sum(c for u, v, c in self.arcs if u in side and v not in side)
 
 
-def random_network(seed: int, n: int = 14, arcs: int = 45) -> FlowNetwork:
-    import random
+CLASSIC = [  # the CLRS example network, max flow 23
+    ("s", "v1", 16), ("s", "v2", 13),
+    ("v1", "v3", 12), ("v2", "v1", 4), ("v2", "v4", 14),
+    ("v3", "v2", 9), ("v3", "t", 20),
+    ("v4", "v3", 7), ("v4", "t", 4),
+]
 
+
+def random_arcs(seed: int, n: int = 14, arcs: int = 45) -> list:
     rng = random.Random(seed)
-    net = FlowNetwork("s", "t")
     nodes = ["s", "t"] + [f"n{i}" for i in range(n)]
+    out = []
     for _ in range(arcs):
         u, v = rng.sample(nodes, 2)
         if v == "s" or u == "t":
             continue
-        net.add_arc(u, v, rng.uniform(0.5, 10.0))
-    return net
+        out.append((u, v, rng.uniform(0.5, 10.0)))
+    return out
 
 
-def nx_max_flow(net: FlowNetwork) -> float:
+def random_network(seed: int, n: int = 14, arcs: int = 45) -> ArcNetwork:
+    return ArcNetwork(random_arcs(seed, n, arcs))
+
+
+def nx_reference(arcs) -> tuple[float, set]:
+    """networkx's max-flow value and the source side of its minimal min
+    cut: the nodes reachable from ``s`` in its residual network."""
     g = nx.DiGraph()
-    cap: dict = {}
-    for u_id in range(net.num_nodes):
-        for arc in net.adj[u_id]:
-            if arc % 2 == 0:  # forward arcs have even index
-                u, v = net.node(u_id), net.node(net.head[arc])
-                cap[(u, v)] = cap.get((u, v), 0.0) + net.cap[arc]
-    for (u, v), c in cap.items():
-        g.add_edge(u, v, capacity=c)
-    if "t" not in g or "s" not in g:
-        return 0.0
-    value, _ = nx.maximum_flow(g, "s", "t")
-    return value
-
-
-class TestNetwork:
-    def test_node_registration(self):
-        net = FlowNetwork("s", "t")
-        net.add_arc("s", "a", 1.0)
-        assert net.num_nodes == 3
-        assert net.num_arcs == 1
-
-    def test_negative_capacity_rejected(self):
-        net = FlowNetwork("s", "t")
-        with pytest.raises(ValueError):
-            net.add_arc("s", "t", -1.0)
-
-    def test_snapshot_reset_round_trip(self):
-        net = build_classic()
-        snap = net.snapshot()
-        dinic.max_flow(net)
-        assert net.cap != snap
-        net.reset(snap)
-        assert net.cap == snap
-
-    def test_reset_wrong_length(self):
-        net = build_classic()
-        with pytest.raises(ValueError):
-            net.reset([1.0])
+    g.add_nodes_from(["s", "t"])
+    for u, v, c in arcs:
+        if g.has_edge(u, v):
+            g[u][v]["capacity"] += c
+        else:
+            g.add_edge(u, v, capacity=c)
+    residual = nx.algorithms.flow.edmonds_karp(g, "s", "t")
+    side = {"s"}
+    stack = ["s"]
+    while stack:
+        u = stack.pop()
+        for v, attrs in residual[u].items():
+            if v not in side and attrs["capacity"] - attrs["flow"] > 1e-9:
+                side.add(v)
+                stack.append(v)
+    return residual.graph["flow_value"], side
 
 
 class TestDinic:
     def test_classic_example(self):
-        assert dinic.max_flow(build_classic()) == pytest.approx(23.0)
+        assert ArcNetwork(CLASSIC).max_flow() == pytest.approx(23.0)
 
     def test_disconnected_sink(self):
-        net = FlowNetwork("s", "t")
-        net.add_arc("s", "a", 5.0)
-        assert dinic.max_flow(net) == 0.0
+        assert ArcNetwork([("s", "a", 5.0)]).max_flow() == 0.0
 
     def test_parallel_arcs_add(self):
-        net = FlowNetwork("s", "t")
-        net.add_arc("s", "t", 2.0)
-        net.add_arc("s", "t", 3.0)
-        assert dinic.max_flow(net) == pytest.approx(5.0)
+        net = ArcNetwork([("s", "t", 2.0), ("s", "t", 3.0)])
+        assert net.max_flow() == pytest.approx(5.0)
 
     def test_source_equals_sink_rejected(self):
-        net = FlowNetwork("s", "s")
         with pytest.raises(ValueError):
-            dinic.max_flow(net)
+            ArcNetwork([("s", "a", 1.0)], source="s", sink="s").max_flow()
 
     def test_long_chain_no_recursion_error(self):
-        net = FlowNetwork("s", "t")
-        prev = "s"
-        for i in range(5000):
-            net.add_arc(prev, f"c{i}", 1.0)
-            prev = f"c{i}"
-        net.add_arc(prev, "t", 1.0)
-        assert dinic.max_flow(net) == pytest.approx(1.0)
+        chain = ["s"] + [f"c{i}" for i in range(5000)] + ["t"]
+        net = ArcNetwork([(u, v, 1.0) for u, v in zip(chain, chain[1:])])
+        assert net.max_flow() == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(50))
     def test_matches_networkx(self, seed):
-        net = random_network(seed)
-        expected = nx_max_flow(random_network(seed))
-        assert dinic.max_flow(net) == pytest.approx(expected, abs=1e-6)
+        """Value and minimal min cut equal networkx's on 50 random
+        networks (the minimal min cut is unique, whichever max flow)."""
+        arcs = random_arcs(seed, n=12 + seed % 7, arcs=30 + seed)
+        net = ArcNetwork(arcs)
+        value, side = nx_reference(arcs)
+        assert net.max_flow() == pytest.approx(value, abs=1e-6)
+        assert net.source_side() == side
 
-
-class TestPushRelabel:
-    def test_classic_example(self):
-        assert push_relabel.max_flow(build_classic()) == pytest.approx(23.0)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_agrees_with_dinic(self, seed):
-        a, b = random_network(seed), random_network(seed)
-        assert push_relabel.max_flow(a) == pytest.approx(dinic.max_flow(b), abs=1e-6)
-
-    def test_infinite_capacity_clamped(self):
-        net = FlowNetwork("s", "t")
-        net.add_arc("s", "a", 4.0)
-        net.add_arc("a", "t", float("inf"))
-        assert push_relabel.max_flow(net) == pytest.approx(4.0)
+    def test_rerun_on_a_max_flow_pushes_nothing(self):
+        net = random_network(3)
+        net.max_flow()
+        assert net.max_flow() == 0.0
 
 
 class TestMinCut:
@@ -134,30 +141,19 @@ class TestMinCut:
         # max-flow = min-cut: capacity of the (S, T) arcs equals the flow
         for seed in range(5):
             net = random_network(seed)
-            snapshot = net.snapshot()
-            value = dinic.max_flow(net)
-            source_side = net.min_cut_source_side()
-            ids = {net.node_id(x) for x in source_side}
-            cut_capacity = 0.0
-            for arc in range(0, len(net.head), 2):
-                tail = net.head[arc ^ 1]
-                head = net.head[arc]
-                if tail in ids and head not in ids:
-                    cut_capacity += snapshot[arc]
-            assert cut_capacity == pytest.approx(value, abs=1e-6)
+            value = net.max_flow()
+            assert net.cut_capacity(net.source_side()) == pytest.approx(value, abs=1e-6)
 
     def test_source_side_contains_source(self):
-        net = build_classic()
-        dinic.max_flow(net)
-        side = net.min_cut_source_side()
+        net = ArcNetwork(CLASSIC)
+        net.max_flow()
+        side = net.source_side()
         assert "s" in side and "t" not in side
 
     def test_infinite_arcs_never_cut(self):
-        net = FlowNetwork("s", "t")
-        net.add_arc("s", "a", 10.0)
-        net.add_arc("a", "b", float("inf"))
-        net.add_arc("b", "t", 1.0)
-        dinic.max_flow(net)
-        side = net.min_cut_source_side()
+        net = ArcNetwork([("s", "a", 10.0), ("a", "b", float("inf")), ("b", "t", 1.0)])
+        net.max_flow()
         # the cut must cross b->t (cap 1), not the infinite arc
+        side = net.source_side()
         assert "a" in side and "b" in side
+        assert net.source_side() == nx_reference(net.arcs)[1]

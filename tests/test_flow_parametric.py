@@ -1,135 +1,201 @@
-"""Tests for the array-backed flow engine and α-parametric reuse.
+"""Tests for the α-parametric networks and their breakpoint drivers.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
-* the two max-flow solvers agree on the value *and* on the source-side
-  cut (the residual-reachability cut after any max flow is the unique
-  minimal min cut, so exact solvers must return the same set);
-* a :class:`~repro.flow.parametric.ParametricNetwork` re-solved across a
-  binary search (warm starts, checkpoints, cancellation) returns the
-  same cuts as a freshly built legacy network at every α;
-* the exact algorithms give bit-identical results under
-  ``flow_engine="reuse"`` and ``flow_engine="rebuild"``.
+* a :class:`~repro.flow.parametric.ParametricNetwork` re-solved across
+  a sequence of α values (noop, advance and retreat warm starts, the
+  pass-through cancellation) returns the same cut at every α as a
+  freshly built network solved cold -- the residual-reachability cut
+  after any max flow is the unique minimal min cut;
+* the breakpoint drivers: the Newton walk lands on the optimum the
+  paper's binary search finds, in far fewer solves, and the GGT divide
+  and conquer reproduces every cold solve on a grid.
+
+``tests/test_tiny_oracle.py`` checks the cold and warm cuts against
+every vertex subset of the small atlas graphs; here networkx's max flow
+checks the flow values on larger random networks.
 """
+
+import random
 
 import pytest
 
-from repro.api import densest_subgraph
+from repro.cliques.index import CliqueIndex
 from repro.core.core_exact import core_exact_densest
 from repro.core.exact import exact_densest
 from repro.core.pattern_core import pattern_index
 from repro.core.pds import core_p_exact_densest, p_exact_densest
-from repro.core.query_variant import query_densest
-from repro.extensions.topk import top_k_densest
-from repro.flow import dinic, push_relabel
 from repro.flow.builders import (
-    build_cds_network,
     build_cds_parametric,
-    build_eds_network,
     build_eds_parametric,
-    build_pds_network,
-    build_pds_network_grouped,
     build_pds_parametric,
-    vertices_of_cut,
 )
 from repro.patterns.pattern import get_pattern
 
 from .conftest import random_graph
-from .test_flow import random_network
+from .test_flow import nx_reference
 
 
-class TestSolverEquivalence:
-    """Dinic and push–relabel must agree everywhere (50 random networks).
-
-    This matrix doubles as the parity test for the highest-label /
-    gap-relabeling discharge loop: instrumentation shows the gap branch
-    fires 62 times across these 50 networks, and the chain test below
-    pins a family where it always fires.
-    """
-
-    @pytest.mark.parametrize("seed", range(50))
-    def test_same_value_and_same_source_side_cut(self, seed):
-        a = random_network(seed, n=12 + seed % 7, arcs=30 + seed)
-        b = random_network(seed, n=12 + seed % 7, arcs=30 + seed)
-        value_a = dinic.max_flow(a)
-        value_b = push_relabel.max_flow(b)
-        assert value_a == pytest.approx(value_b, abs=1e-6)
-        assert a.min_cut_source_side() == b.min_cut_source_side()
-
-    @pytest.mark.parametrize("k", [4, 6, 8, 12])
-    def test_gap_relabel_chain_parity(self, k):
-        """Chains with a mid-path bottleneck and a low-capacity side
-        pocket: saturating the bottleneck strands excess behind an
-        emptied height level, so the gap heuristic must lift the
-        stranded band to ``n + 1`` and drain it back -- and the residual
-        state must still be a max *flow* with Dinic's exact cut."""
-        from repro.flow.network import FlowNetwork
-
-        def build() -> FlowNetwork:
-            net = FlowNetwork("s", "t")
-            net.add_arc("s", "c0", 10.0)
-            for i in range(k - 1):
-                cap = 0.5 if i == k // 2 else 10.0
-                net.add_arc(f"c{i}", f"c{i + 1}", cap)
-            net.add_arc(f"c{k - 1}", "t", 10.0)
-            net.add_arc("c0", "p0", 3.0)
-            net.add_arc("p0", "p1", 3.0)
-            net.add_arc("p1", "c1", 0.25)
-            return net
-
-        a, b = build(), build()
-        value_d = dinic.max_flow(a)
-        value_p = push_relabel.max_flow(b)
-        assert value_p == pytest.approx(value_d, abs=1e-9)
-        assert b.min_cut_source_side() == a.min_cut_source_side()
-        # a genuine flow, not a preflow: conservation holds everywhere,
-        # so re-running a solver on the residual network pushes nothing
-        assert push_relabel.max_flow(b) == pytest.approx(0.0, abs=1e-9)
-
-
-def _binary_search_cuts(graph, make_parametric, make_legacy, high):
-    """Drive a binary search on both engines; assert cuts agree at every α."""
-    net = make_parametric()
+def _bisection_cuts(make, high):
+    """Drive the paper's binary search over α on one network; at every
+    guess the warm cut must equal a fresh network's cold cut."""
+    net = make()
     low = 0.0
-    cut = net.solve(low)
-    legacy = make_legacy(low)
-    dinic.max_flow(legacy)
-    assert cut == vertices_of_cut(legacy.min_cut_source_side())
-    if cut:
-        net.checkpoint()
+    assert net.solve(low) == make().solve(low)
     for _ in range(25):
         alpha = (low + high) / 2.0
         cut = net.solve(alpha)
-        legacy = make_legacy(alpha)
-        dinic.max_flow(legacy)
-        assert cut == vertices_of_cut(legacy.min_cut_source_side())
+        assert cut == make().solve(alpha), alpha
         if cut:
             low = alpha
-            net.checkpoint()
         else:
             high = alpha
+
+
+def _bisect(make, n, high):
+    """The paper's Algorithms 1 and 4: bisect α in ``[0, high]`` down to
+    ``1/(n(n-1))`` on a fresh network per guess.  Returns the last
+    feasible cut and the number of solves.  No other subset density
+    fits between the last two guesses, so that cut is the maximal
+    densest subgraph: the minimal maximiser of μ(S) − α|S| there."""
+    low = 0.0
+    best, solves = None, 0
+    while high - low >= 1.0 / (n * (n - 1)):
+        alpha = (low + high) / 2.0
+        cut = make().solve(alpha)
+        solves += 1
+        if cut:
+            low, best = alpha, cut
+        else:
+            high = alpha
+    return best, solves
+
+
+def _bisect_exact(g):
+    """Algorithm 1 for Ψ = edge, on the Goldberg network."""
+    return _bisect(lambda: build_eds_parametric(g), g.num_vertices, float(g.max_degree()))
+
+
+def _network_of_kind(g, kind: int):
+    """One of four parametric networks of ``g`` -- EDS, anchored EDS
+    (Q = {0}), CDS h = 3, PDS for the 2-star (construct+ on odd
+    ``kind // 4``) -- and a bound no subset density of ``g`` exceeds."""
+    if kind % 4 < 2:
+        anchors = [0] if kind % 4 else []
+        return build_eds_parametric(g, anchors=anchors), g.max_degree() / 2.0
+    if kind % 4 == 2:
+        index = CliqueIndex(g, 3)
+        return build_cds_parametric(g, 3, index=index), max(index.base_degree) / 3.0
+    index = pattern_index(g, get_pattern("2-star"))
+    grouped = bool(kind // 4 % 2)
+    return build_pds_parametric(index, grouped=grouped), max(index.base_degree) / 3.0
+
+
+def _plain_arcs(net, alpha) -> list:
+    """The forward arcs of ``net`` as ``(tail, head, capacity)`` at
+    ``alpha`` -- the plain network, no warm state -- with the source
+    named ``"s"`` and the sink ``"t"``, as :func:`nx_reference` takes."""
+    coeff = dict(zip(map(int, net.alpha_arcs), map(float, net.alpha_coeff)))
+    name = {net.source: "s", net.sink: "t"}
+    arcs = []
+    for a in range(0, len(net.head), 2):
+        u, v = int(net.head[a ^ 1]), int(net.head[a])
+        capacity = float(net.base_cap[a]) + coeff.get(a, 0.0) * alpha
+        arcs.append((name.get(u, u), name.get(v, v), capacity))
+    return arcs
+
+
+def _arc_flows(net) -> list:
+    """The flow on each forward arc of ``net``'s residual state: its
+    reverse arc's residual above that arc's base capacity."""
+    return [float(net.cap[a ^ 1] - net.base_cap[a ^ 1]) for a in range(0, len(net.head), 2)]
+
+
+def _net_outflow(net) -> list:
+    """Flow out of minus flow into every node of ``net``."""
+    out = [0.0] * net.num_nodes
+    for a, flow in zip(range(0, len(net.head), 2), _arc_flows(net)):
+        out[int(net.head[a ^ 1])] += flow
+        out[int(net.head[a])] -= flow
+    return out
+
+
+def _node_ids(net, side) -> set:
+    return {net.source if node == "s" else node for node in side}
+
+
+class TestSolverEquivalence:
+    """Dinic on the parametric networks against networkx (50 random
+    networks, EDS, anchored EDS, CDS and PDS): after every solve of an
+    α walk -- cold, advance, retreat or noop -- the residual state is a
+    maximum flow of the plain network at that α.  Its value is
+    networkx's max-flow value, and its source side is the minimal min
+    cut networkx's residual network leaves reachable from the source."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_same_value_and_same_source_side_cut(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(9 + seed % 5, 18 + seed // 4, seed + 1000)
+        net, high = _network_of_kind(g, seed)
+        alphas = [rng.uniform(0.0, high) for _ in range(3)]
+        for alpha in alphas + alphas[-1:]:  # the repeat is a noop solve
+            net.solve(alpha)
+            value, side = nx_reference(_plain_arcs(net, alpha))
+            assert _net_outflow(net)[net.source] == pytest.approx(value, rel=1e-9, abs=1e-6)
+            assert net.min_cut_source_side() == _node_ids(net, side), alpha
+
+
+class TestRetreatDrain:
+    """The decreasing-α half of GGT on its own (50 random networks):
+    from the max flow at a high α, the retreat to a lower α clamps the
+    sink arcs that now carry too much and drains the excess back to the
+    source.  What it leaves is a feasible flow at the lower α, and one
+    Dinic run from there reaches the max flow."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_drained_state_is_a_feasible_flow(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(10 + seed % 5, 22 + seed // 4, seed + 1100)
+        net, high = _network_of_kind(g, seed)
+        alpha_hi = rng.uniform(0.4, 0.8) * high
+        alpha_lo = rng.uniform(0.05, 0.6) * alpha_hi
+        net.solve(alpha_hi)
+        flows = _arc_flows(net)
+        clamped = [
+            a for a, c in zip(map(int, net.alpha_arcs), map(float, net.alpha_coeff))
+            if flows[a // 2] > float(net.base_cap[a]) + c * alpha_lo
+        ]
+        assert clamped  # the max-degree vertex's sink arc at least
+
+        net._retreat_alpha(alpha_lo)
+        arcs = _plain_arcs(net, alpha_lo)
+        for a, flow, (_, _, capacity) in zip(range(0, len(net.head), 2), _arc_flows(net), arcs):
+            assert -float(net.base_cap[a ^ 1]) - 1e-9 <= flow <= capacity + 1e-9, a
+            if capacity != float("inf"):
+                assert float(net.cap[a]) == pytest.approx(capacity - flow, abs=1e-9), a
+        outflow = _net_outflow(net)
+        for node, out in enumerate(outflow):
+            if node not in (net.source, net.sink):
+                assert out == pytest.approx(0.0, abs=1e-9), node
+        value, side = nx_reference(arcs)
+        assert outflow[net.source] <= value + 1e-9
+
+        net.solve(alpha_lo)
+        assert _net_outflow(net)[net.source] == pytest.approx(value, rel=1e-9, abs=1e-6)
+        assert net.min_cut_source_side() == _node_ids(net, side)
 
 
 class TestParametricMatchesFreshBuild:
     @pytest.mark.parametrize("seed", range(6))
     def test_eds(self, seed):
         g = random_graph(24, 70, seed)
-        _binary_search_cuts(
-            g,
-            lambda: build_eds_parametric(g),
-            lambda a: build_eds_network(g, a),
-            float(g.max_degree()),
-        )
+        _bisection_cuts(lambda: build_eds_parametric(g), float(g.max_degree()))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_cds_h3(self, seed):
         g = random_graph(20, 60, seed + 100)
-        _binary_search_cuts(
-            g,
-            lambda: build_cds_parametric(g, 3),
-            lambda a: build_cds_network(g, 3, a),
-            12.0,
-        )
+        index = CliqueIndex(g, 3)
+        _bisection_cuts(lambda: build_cds_parametric(g, 3, index=index), 12.0)
 
     @pytest.mark.parametrize("grouped", [False, True])
     @pytest.mark.parametrize("name", ["triangle", "2-star", "diamond"])
@@ -139,13 +205,19 @@ class TestParametricMatchesFreshBuild:
         index = pattern_index(g, get_pattern(name))
         if not index.m:
             pytest.skip(f"no {name} instances in this seed")
-        per_alpha = build_pds_network_grouped if grouped else build_pds_network
-        _binary_search_cuts(
-            g,
+        _bisection_cuts(
             lambda: build_pds_parametric(index, grouped=grouped),
-            lambda a: per_alpha(index, a),
             float(max(index.base_degree)),
         )
+
+    def test_cds_without_an_index_builds_the_same_network(self):
+        g = random_graph(18, 55, 7)
+        plain = build_cds_parametric(g, 3)
+        indexed = build_cds_parametric(g, 3, index=CliqueIndex(g, 3))
+        assert plain.num_nodes == indexed.num_nodes
+        assert list(plain.head) == list(indexed.head)
+        assert list(plain.base_cap) == list(indexed.base_cap)
+        assert plain.vertex_labels == indexed.vertex_labels
 
     def test_set_alpha_rewrites_only_alpha_arcs(self):
         g = random_graph(12, 30, 3)
@@ -160,24 +232,6 @@ class TestParametricMatchesFreshBuild:
             expected = m + coeff * 2.0 - g.degree(v)
             # residual + flow (reverse residual) reconstructs the capacity
             assert net.cap[arc_id] + net.cap[arc_id ^ 1] == pytest.approx(expected)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_push_relabel_solver_on_cancelled_anchored_network(self, seed):
-        # regression: the big-M clamp must be computed from the whole
-        # network's finite capacity, not the (possibly cancelled-to-zero)
-        # residual source arcs, or infinite anchor arcs saturate
-        g = random_graph(18, 50, seed + 500)
-        anchor = next(iter(g.vertices()))
-        for alpha in (0.5, 2.0, 5.0):
-            net = build_eds_parametric(g, anchors=[anchor])
-            cut = net.solve(alpha, solver=push_relabel)
-            legacy = build_eds_network(g, alpha)
-            from repro.flow.builders import SOURCE
-
-            legacy.add_arc(SOURCE, ("v", anchor), float("inf"))
-            dinic.max_flow(legacy)
-            assert cut == vertices_of_cut(legacy.min_cut_source_side())
-            assert anchor in cut
 
     def test_tiny_alpha_step_falls_back_to_cold_reset(self):
         g = random_graph(12, 30, 4)
@@ -197,20 +251,14 @@ class TestParametricMatchesFreshBuild:
         rng = _random.Random(seed)
         for _ in range(14):
             alpha = rng.uniform(0.0, g.max_degree())
-            cut = net.solve(alpha)
-            legacy = build_eds_network(g, alpha)
-            dinic.max_flow(legacy)
-            assert cut == vertices_of_cut(legacy.min_cut_source_side())
+            assert net.solve(alpha) == build_eds_parametric(g).solve(alpha)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_retreat_on_cds_network(self, seed):
         g = random_graph(18, 55, seed + 800)
         net = build_cds_parametric(g, 3)
         for alpha in (6.0, 1.5, 4.0, 0.25, 5.5, 0.75):
-            cut = net.solve(alpha)
-            legacy = build_cds_network(g, 3, alpha)
-            dinic.max_flow(legacy)
-            assert cut == vertices_of_cut(legacy.min_cut_source_side())
+            assert net.solve(alpha) == build_cds_parametric(g, 3).solve(alpha)
 
 
 class TestBreakpointEngine:
@@ -220,14 +268,13 @@ class TestBreakpointEngine:
     def test_max_density_matches_binary_search(self, seed):
         g = random_graph(20, 60, seed)
         net = build_eds_parametric(g)
-        cut, alpha, solves = net.max_density(
-            lambda s: g.subgraph(s).num_edges / len(s), low=0.0
-        )
-        ref = exact_densest(g, 2, flow_engine="rebuild")
-        assert cut == ref.vertices
-        assert alpha == ref.density
+        density_of = lambda s: g.subgraph(s).num_edges / len(s)
+        cut, alpha, solves = net.max_density(density_of, low=0.0)
+        ref, ref_solves = _bisect_exact(g)
+        assert cut == ref
+        assert alpha == density_of(ref)
         # a parametric sweep, not a binary search: solves stays tiny
-        assert solves < ref.iterations
+        assert solves < ref_solves
         assert solves <= 8
 
     def test_max_density_infeasible_lower_bound(self):
@@ -271,13 +318,17 @@ class TestBreakpointEngine:
         assert segments[-1][1] == set()
 
     def test_cut_line_matches_cut_capacity(self):
+        """Max-flow/min-cut duality: the minimal cut's line at α equals
+        the flow the solve left on the source arcs."""
         g = random_graph(14, 36, 5)
         net = build_eds_parametric(g)
+        source_arcs = [
+            a for a in range(0, len(net.head), 2) if net.head[a ^ 1] == net.source
+        ]
         for alpha in (0.5, 1.5, 3.0):
             net.solve(alpha)
             a_term, b_term = net.cut_line()
-            legacy = build_eds_network(g, alpha)
-            value = dinic.max_flow(legacy)
+            value = sum(float(net.cap[a ^ 1]) for a in source_arcs)
             assert a_term + b_term * alpha == pytest.approx(value, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -309,87 +360,40 @@ class TestBreakpointEngine:
         assert net.cut_line(side) == (a_term, b_term)
 
 
-class TestFlowEngineBitIdentical:
-    """α-reuse must not change any flow-dependent result."""
+class TestSolversMatchBisection:
+    """The exact solvers against the paper's bisection on fresh
+    networks, on random graphs larger than the atlas's: the same
+    density, and the walks of Exact and PExact end on the maximal
+    densest subgraph the bisection's last feasible cut is."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("h", [2, 3])
-    def test_core_exact(self, seed, h):
-        g = random_graph(26, 80, seed)
-        rebuilt = core_exact_densest(g, h, flow_engine="rebuild")
-        reused = core_exact_densest(g, h, flow_engine="reuse")
-        assert reused.vertices == rebuilt.vertices
-        assert reused.density == rebuilt.density
-        assert reused.iterations == rebuilt.iterations
-        ggt = core_exact_densest(g, h, flow_engine="ggt")
-        assert ggt.vertices == rebuilt.vertices
-        assert ggt.density == rebuilt.density
+    def test_exact_and_core_exact(self, seed, h):
+        g = random_graph(22, 64, seed)
+        index = CliqueIndex(g, h)
+        if h == 2:
+            make = lambda: build_eds_parametric(g)
+        else:
+            make = lambda: build_cds_parametric(g, h, index=index)
+        ref, _ = _bisect(make, g.num_vertices, float(max(index.base_degree)))
+        exact = exact_densest(g, h)
+        assert exact.vertices == ref
+        assert exact.density == index.density_within(ref)
+        core = core_exact_densest(g, h)
+        assert core.vertices <= ref
+        assert core.density == exact.density
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_exact(self, seed):
-        g = random_graph(20, 55, seed + 50)
-        rebuilt = exact_densest(g, 2, flow_engine="rebuild")
-        reused = exact_densest(g, 2, flow_engine="reuse")
-        assert reused.vertices == rebuilt.vertices
-        assert reused.density == rebuilt.density
-        ggt = exact_densest(g, 2, flow_engine="ggt")
-        assert ggt.vertices == rebuilt.vertices
-        assert ggt.density == rebuilt.density
-        assert ggt.iterations < rebuilt.iterations
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_pds_exact(self, seed):
-        g = random_graph(16, 40, seed + 300)
-        pattern = get_pattern("triangle")
-        rebuilt = p_exact_densest(g, pattern, flow_engine="rebuild")
-        for engine in ("reuse", "ggt"):
-            result = p_exact_densest(g, pattern, flow_engine=engine)
-            assert result.vertices == rebuilt.vertices
-            assert result.density == rebuilt.density
-        core_rebuilt = core_p_exact_densest(g, pattern, flow_engine="rebuild")
-        for engine in ("reuse", "ggt"):
-            result = core_p_exact_densest(g, pattern, flow_engine=engine)
-            assert result.vertices == core_rebuilt.vertices
-            assert result.density == core_rebuilt.density
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_query_variant(self, seed):
-        g = random_graph(22, 60, seed + 400)
-        anchors = [next(iter(g.vertices()))]
-        rebuilt = query_densest(g, anchors, flow_engine="rebuild")
-        for engine in ("reuse", "ggt"):
-            result = query_densest(g, anchors, flow_engine=engine)
-            assert result.vertices == rebuilt.vertices
-            assert result.density == rebuilt.density
-
-
-class TestEngineKnob:
-    def test_api_accepts_flow_engine(self):
-        g = random_graph(15, 35, 9)
-        result = densest_subgraph(g, 2, method="core-exact", flow_engine="rebuild")
-        assert result.stats["flow_engine"] == "rebuild"
-        result = densest_subgraph(g, 2, method="core-exact")
-        assert result.stats["flow_engine"] == "ggt"  # the soaked-in default
-        result = densest_subgraph(g, 2, method="core-exact", flow_engine="reuse")
-        assert result.stats["flow_engine"] == "reuse"
-
-    def test_unknown_engine_rejected(self):
-        g = random_graph(10, 20, 1)
-        with pytest.raises(ValueError):
-            core_exact_densest(g, 2, flow_engine="bogus")
-        with pytest.raises(ValueError):
-            exact_densest(g, 2, flow_engine="bogus")
-
-    def test_topk_threads_flow_engine(self):
-        g = random_graph(18, 45, 5)
-        results = top_k_densest(g, 2, method=core_exact_densest, flow_engine="reuse")
-        assert results
-        assert all(r.stats["flow_engine"] == "reuse" for r in results)
-
-    def test_topk_threads_ggt(self):
-        g = random_graph(18, 45, 5)
-        via_ggt = top_k_densest(g, 2, method=core_exact_densest, flow_engine="ggt")
-        via_reuse = top_k_densest(g, 2, method=core_exact_densest, flow_engine="reuse")
-        assert [r.vertices for r in via_ggt] == [r.vertices for r in via_reuse]
-        assert [r.density for r in via_ggt] == [r.density for r in via_reuse]
-        assert all(r.stats["flow_engine"] == "ggt" for r in via_ggt)
+    @pytest.mark.parametrize("name", ["2-star", "diamond"])
+    def test_p_exact_and_core_p_exact(self, seed, name):
+        g = random_graph(16, 38, seed + 300)
+        pattern = get_pattern(name)
+        index = pattern_index(g, pattern)
+        make = lambda: build_pds_parametric(index)
+        ref, _ = _bisect(make, g.num_vertices, float(max(index.base_degree)))
+        exact = p_exact_densest(g, pattern)
+        assert exact.vertices == ref
+        assert exact.density == index.density_within(ref)
+        core = core_p_exact_densest(g, pattern)
+        assert core.vertices <= ref
+        assert core.density == exact.density

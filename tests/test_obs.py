@@ -135,7 +135,7 @@ def test_stats_backward_compat_and_reconciliation():
     for key in (
         "network_sizes", "decomposition_seconds", "enumeration_seconds",
         "flow_seconds", "total_seconds", "kmax", "k_locate",
-        "located_vertices", "flow_engine",
+        "located_vertices",
     ):
         assert key in core.stats, key
 

@@ -23,9 +23,9 @@ from repro.core.exact import exact_densest
 from repro.core.inc_app import inc_app_densest
 from repro.core.kcore import core_decomposition
 from repro.core.peel import peel_densest
-from repro.flow import dinic, push_relabel
-from repro.flow.network import FlowNetwork
 from repro.graph.graph import Graph
+
+from .test_flow import ArcNetwork, nx_reference
 
 
 @st.composite
@@ -46,7 +46,7 @@ def graphs(draw, max_vertices: int = 16, max_extra_edges: int = 40) -> Graph:
 
 
 @st.composite
-def flow_networks(draw) -> FlowNetwork:
+def flow_networks(draw) -> ArcNetwork:
     n = draw(st.integers(min_value=2, max_value=8))
     arcs = draw(
         st.lists(
@@ -59,12 +59,12 @@ def flow_networks(draw) -> FlowNetwork:
             max_size=24,
         )
     )
-    net = FlowNetwork("s", "t")
     names = ["s", "t"] + [f"n{i}" for i in range(max(n - 2, 0))]
-    for u, v, c in arcs:
-        if u != v and names[v] != "s" and names[u] != "t":
-            net.add_arc(names[u], names[v], c)
-    return net
+    return ArcNetwork(
+        (names[u], names[v], c)
+        for u, v, c in arcs
+        if u != v and names[v] != "s" and names[u] != "t"
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,26 +142,17 @@ def test_clique_degree_handshake(g: Graph):
 
 @settings(max_examples=40, deadline=None)
 @given(flow_networks())
-def test_dinic_agrees_with_push_relabel(net: FlowNetwork):
-    snapshot = net.snapshot()
-    a = dinic.max_flow(net)
-    net.reset(snapshot)
-    b = push_relabel.max_flow(net)
-    assert math.isclose(a, b, rel_tol=1e-7, abs_tol=1e-7)
+def test_dinic_agrees_with_networkx(net: ArcNetwork):
+    value, side = nx_reference(net.arcs)
+    assert math.isclose(net.max_flow(), value, rel_tol=1e-7, abs_tol=1e-7)
+    assert net.source_side() == side
 
 
 @settings(max_examples=40, deadline=None)
 @given(flow_networks())
-def test_max_flow_equals_min_cut(net: FlowNetwork):
-    snapshot = net.snapshot()
-    value = dinic.max_flow(net)
-    side = net.min_cut_source_side()
-    ids = {net.node_id(x) for x in side}
-    cut = sum(
-        snapshot[arc]
-        for arc in range(0, len(net.head), 2)
-        if net.head[arc ^ 1] in ids and net.head[arc] not in ids
-    )
+def test_max_flow_equals_min_cut(net: ArcNetwork):
+    value = net.max_flow()
+    cut = net.cut_capacity(net.source_side())
     assert math.isclose(value, cut, rel_tol=1e-7, abs_tol=1e-7)
 
 

@@ -2,10 +2,8 @@
 
 One test matrix ties the whole algorithm zoo together:
 
-* the three exact engines (binary search over a rebuilt network, binary
-  search over one α-parametric network, and the GGT breakpoint walk)
-  and CoreExact must all report the same optimal density -- the GGT
-  engines bit-identically so;
+* Exact and CoreExact must report the same optimal density
+  bit-identically;
 * every approximation (PeelApp, Greedy++, the fixed Bahmani streaming
   peel) stays at or below the optimum and above its claimed ratio:
   ``1/h!`` for peel at h = 2 (Charikar's 1/2), ``1/(2+2ε)`` for
@@ -46,20 +44,11 @@ def _family_graph(seed: int) -> Graph:
 def test_solver_families_agree_and_bound(seed):
     g = _family_graph(seed)
 
-    exact = exact_densest(g, 2, flow_engine="rebuild")
-    reuse = exact_densest(g, 2, flow_engine="reuse")
-    ggt = exact_densest(g, 2, flow_engine="ggt")
+    exact = exact_densest(g, 2)
     core = core_exact_densest(g, 2)
-    core_ggt = core_exact_densest(g, 2, flow_engine="ggt")
 
-    # exact family: one optimum, the engine must not matter
-    assert reuse.density == exact.density
-    assert reuse.vertices == exact.vertices
-    assert ggt.density == exact.density
-    assert ggt.vertices == exact.vertices
-    assert core_ggt.density == core.density
-    assert core_ggt.vertices == core.vertices
-    assert abs(core.density - exact.density) < 1e-9
+    # exact family: one optimum
+    assert core.density == exact.density
 
     optimum = exact.density
 
@@ -81,12 +70,9 @@ def test_solver_families_agree_and_bound(seed):
 def test_solver_families_triangle_density(seed):
     """Same agreement matrix for Ψ = triangle (h = 3)."""
     g = _family_graph(seed + 500)
-    exact = exact_densest(g, 3, flow_engine="reuse")
-    ggt = exact_densest(g, 3, flow_engine="ggt")
-    core_ggt = core_exact_densest(g, 3, flow_engine="ggt")
-    assert ggt.density == exact.density
-    assert ggt.vertices == exact.vertices
-    assert abs(core_ggt.density - exact.density) < 1e-9
+    exact = exact_densest(g, 3)
+    core = core_exact_densest(g, 3)
+    assert core.density == exact.density
 
     peel = peel_densest(g, 3)
     assert peel.density <= exact.density + 1e-9
