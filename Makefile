@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-checked test-clique-index test-patterns bench-smoke bench ablation bench-accel bench-serve trace-smoke chaos-smoke lint lint-deep typecheck
+.PHONY: test test-checked test-clique-index test-patterns bench-smoke bench bench-record ablation bench-accel bench-serve trace-smoke chaos-smoke lint lint-deep typecheck
 
 test:
 	$(PY) -m pytest -x -q
@@ -41,6 +41,12 @@ bench-smoke:
 # Full benchmark suite (regenerates every table/figure artefact).
 bench:
 	$(PY) -m pytest benchmarks -q
+
+# One perfbench run of workload W (seed 1, untraced), appended to the
+# committed trajectory benchmarks/out/BENCH_$(W).json with the commit, a
+# dirty flag, the environment fingerprint and the CPU count.
+bench-record:
+	python3 benchmarks/record.py $(W)
 
 # Just the flow ablation: the breakpoint walk against the paper's binary
 # search for Exact, and the clique-index kernels (rewrites the

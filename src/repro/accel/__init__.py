@@ -11,20 +11,25 @@ Three tiers, fastest first:
   is importable, so the wrappers pass them straight through; each runs
   on a private copy of the residuals and writes them back on success.
 * **numpy** -- :mod:`repro.accel.vector`: Dinic with every phase planned
-  in numpy from one size crossover (the reference DFS then walks only
-  the arcs of shortest augmenting paths), the GGT advance as an array
-  expression, and the pure loops for everything sequential.  Selected
-  when numpy is importable but numba is not.
+  in numpy from one size crossover and cut down to the arcs of shortest
+  augmenting paths, the blocking flow of a large phase computed in
+  batched push-and-balance rounds and the reference DFS pushing the
+  rest, the GGT advance as an array expression, and the pure loops for
+  everything sequential.  Selected when numpy is importable but numba
+  is not.
 * **python** -- :mod:`repro.accel.pure`: dependency-free reference
   implementations.  Always available; handed memoryviews of numpy
   arrays, which the loops index as fast as lists and write through.
 
-Every tier produces bit-identical results -- residual floats included
--- because the higher tiers are literal translations of the pure loops
-(same traversal order, same IEEE-double operation order) or, for the
-numpy Dinic, run the pure DFS itself on a subset of arcs it provably
-never pushes flow outside of; the dispatch property suite
-(``tests/test_accel_dispatch.py``) asserts it on the random
+Every tier produces bit-identical answers -- cuts, breakpoints, peel
+orders, densities.  The higher tiers are literal translations of the
+pure loops (same traversal order, same IEEE-double operation order),
+so their residual floats match as well, and so do the numpy Dinic's
+where the pure DFS pushes every phase itself, on a subset of arcs it
+provably never pushes flow outside of.  Its batched rounds on large
+phases reach another maximum flow, which leaves the same unique
+minimal min cut.  The dispatch property suite
+(``tests/test_accel_dispatch.py``) asserts both on the random
 network/graph matrices.
 
 **Selection** happens once at import:
@@ -48,8 +53,8 @@ dispatcher restores the call's mutable arrays from a pre-call snapshot
 only on success -- so no snapshot is taken there), **demotes the kernel
 to the next tier for the rest of the process**, emits an
 ``accel.failover`` counter + event and a ``RuntimeWarning``, and retries
-the same call.  Results stay bit-identical across the retry because the
-tiers already are.  ``select_tier`` rebuilds the registry and thereby
+the same call.  Answers stay bit-identical across the retry because the
+tiers' are.  ``select_tier`` rebuilds the registry and thereby
 clears demotions.  Kernels whose chain ends with no implementation
 (``heap_peel`` outside the numba tier) raise :class:`KernelFallback` so
 the caller's reference loop runs instead.  Faults can be injected
@@ -432,6 +437,14 @@ def _bfs_mode() -> str:
     return "scalar"
 
 
+def _rounds() -> int:
+    """Batched blocking-flow rounds of the last Dinic call (only the
+    numpy tier runs any)."""
+    if KERNEL_TIERS["dinic"] == "numpy":
+        return vector.LAST_ROUNDS
+    return 0
+
+
 def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
     """Dinic max flow over flat arc arrays (mutates ``cap`` in place)."""
     global last_solve
@@ -442,6 +455,7 @@ def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
     t0 = time.perf_counter()
     total, bfs_passes, augments = _dispatch("dinic", args, (3,))
     seconds = time.perf_counter() - t0
+    rounds = _rounds()
     last_solve = {
         "kernel": "dinic",
         "tier": KERNEL_TIERS["dinic"],
@@ -449,11 +463,13 @@ def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
         "bfs_mode": _bfs_mode(),
         "bfs_passes": bfs_passes,
         "augments": augments,
+        "rounds": rounds,
         "seconds": seconds,
     }
     obs.counter("accel.dinic.calls")
     obs.counter("accel.dinic.bfs_passes", bfs_passes)
     obs.counter("accel.dinic.augments", augments)
+    obs.counter("accel.dinic.rounds", rounds)
     return total
 
 

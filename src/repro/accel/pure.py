@@ -5,11 +5,13 @@ implementation here, written over the flat arc / incidence arrays as
 plain Python lists.  The higher tiers are literal translations of these
 loops (:mod:`repro.accel.kernels`, and the array-expression GGT advance
 in :mod:`repro.accel.vector`) or reuse them (the numpy Dinic runs
-:func:`dinic_blocking_flow` on each phase's shortest-path arcs) --
-same traversal order, same float-operation order, same EPS discipline
--- so residual capacities, flow values, cuts, peel orders and densities
-are *bit-identical* across tiers (the dispatch property suite pins
-this).
+:func:`dinic_blocking_flow` on each phase's shortest-path arcs, after
+batched rounds on a large phase) -- same traversal order, same
+float-operation order, same EPS discipline -- so residual capacities,
+flow values, cuts, peel orders and densities are *bit-identical* across
+tiers wherever these loops push the flow (the dispatch property suite
+pins this; the numpy tier's rounds reach another maximum flow with the
+same minimal min cut).
 
 Keep that in mind when editing: any reordering of arithmetic or
 traversal here must be mirrored in :mod:`repro.accel.kernels`, and vice
@@ -112,9 +114,10 @@ def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
     ``total`` is the flow pushed; ``bfs_passes`` counts the level-graph
     constructions (Dinic phases) and ``augments`` the augmenting paths
     of the blocking flows -- pure work counters for the telemetry layer
-    (:mod:`repro.obs`), identical across accel tiers because every tier
-    executes the same traversal.  The :mod:`repro.accel` dispatcher
-    strips them; engine callers still see a plain float.
+    (:mod:`repro.obs`), identical across accel tiers wherever every tier
+    executes the same traversal (the numpy tier's batched rounds push
+    paths the DFS then does not count).  The :mod:`repro.accel`
+    dispatcher strips them; engine callers still see a plain float.
     """
     n = len(adj_start) - 1
     total = 0.0

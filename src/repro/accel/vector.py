@@ -9,11 +9,14 @@ arrays in numpy from construction to cut extraction
   the residual that stops at the sink's level exactly as the scalar BFS
   does, a backward pass from the sink that keeps only the nodes lying
   on some shortest augmenting path, and the admissible arcs between
-  those nodes compacted in their original adjacency order.  The
-  reference DFS (:func:`repro.accel.pure.dinic_blocking_flow`) then runs
-  on the compacted arcs alone and the residuals it touched are
-  scattered back.  Below the crossover the pure loop runs on
-  memoryviews of the arrays, which is faster there.
+  those nodes compacted level by level in their original adjacency
+  order.  A phase of at least :data:`ROUNDS_MIN_ARCS` kept arcs then
+  gets its blocking flow from batched rounds (:func:`_push_rounds`);
+  the reference DFS (:func:`repro.accel.pure.dinic_blocking_flow`)
+  pushes smaller phases, and finishes a phase the rounds leave
+  unblocked, on the compacted arcs alone.  The residuals are scattered
+  back.  Below :data:`PLAN_MIN_ARCS` the pure loop runs on memoryviews
+  of the arrays, which is faster there.
 * :func:`ggt_advance` -- the increasing-α capacity refresh as one
   array expression.
 
@@ -21,14 +24,32 @@ The sequential loops with no useful numpy formulation (the GGT retreat
 drains, the peels) stay on the pure tier, which the registry hands
 memoryviews of the arrays (:func:`on_views`).
 
-Why the planner cannot change an answer: a node on no shortest s-t
-path when a phase starts stays dead for the whole phase -- the phase
-only saturates forward level arcs and opens backward ones, and backward
-arcs are never admissible -- so the reference DFS would enter it, push
-nothing and prune it.  Skipping it in advance leaves the same
-augmenting paths, in the same order, with the same bottlenecks: every
-residual float, the flow value and the work counters match the pure
-tier (asserted by the dispatch property suite).
+**The rounds** are Karzanov's preflow method (1974), one level of the
+compacted network per array expression.  A round sweeps the levels
+three times: from the sink back, each node's *reach* -- what its
+out-arcs could still carry on to the sink; from the source on, a push
+of the source's reach, each node water-filling what arrives over its
+out-arcs in adjacency order; from the sink back again, a balance, each
+node water-filling what its out-arcs were accepted over its in-arcs.
+What the source's arcs were accepted is a feasible flow; it is added,
+and rounds repeat until the source's reach shows the phase blocked, a
+round adds next to nothing, or :data:`MAX_ROUNDS` ran; the DFS then
+finishes the phase.  Every phase still ends blocked, so the algorithm
+stays Dinic's: one BFS per phase, each finding longer shortest paths
+than the last.
+
+**Why no answer changes.** A node on no shortest s-t path when a phase
+starts stays dead for the whole phase -- the phase only saturates
+forward level arcs and opens backward ones, and backward arcs are
+never admissible -- so the planner only skips what the DFS would enter,
+push nothing through and prune.  Where the DFS pushes every phase,
+the augmenting paths, their order and bottlenecks, every residual
+float and the work counters match the pure tier.  The rounds reach
+another maximum flow, with residual floats of its own.  Every maximum
+flow leaves the same set of nodes reachable from the source in its
+residual network: the unique minimal min cut, which is all a solver
+reads.  So cuts, breakpoints and densities are the pure tier's, bit for
+bit (the dispatch property suite checks both halves).
 """
 
 from __future__ import annotations
@@ -53,10 +74,33 @@ else:
 #: call, so tests can lower it.
 PLAN_MIN_ARCS = 1024
 
+#: Kept arcs of a planned phase from which the batched rounds
+#: (:func:`_push_rounds`) compute its blocking flow.  A round is some 20
+#: array calls per level, so on small phases the DFS is faster.
+#: Measured on a 2-vCPU host on the 282 planned phases of at least 128
+#: kept arcs that the benchmark's exact cells, serve precomputes and
+#: CorePExact cells run at seed 1, each phase solved both ways (best of
+#: 5): summed over them the DFS alone takes 459 ms, rounds from 2,048
+#: arcs 225 ms, from 768 arcs 170 ms, from 256 arcs 168 ms; from 768 no
+#: cell's phases are slower than with the DFS alone, from 512 down some
+#: are (As-733 h=3 CoreExact).  Read at every phase, so tests can lower
+#: it.
+ROUNDS_MIN_ARCS = 768
+
+#: Rounds per phase before the DFS takes over.  Each of those phases of
+#: at least :data:`ROUNDS_MIN_ARCS` kept arcs blocks within 12 rounds
+#: (112 of 113 within 7), and one round costs a median 14% of what the
+#: DFS alone spends on the phase: the cap keeps a phase that would block
+#: only slowly at about twice the DFS's cost.  Read at every phase, so
+#: tests can lower it.
+MAX_ROUNDS = 16
+
 #: How the most recent :func:`dinic_max_flow` call ran: ``"numpy"`` (the
-#: planner) or ``"scalar"`` (the pure loop) -- the telemetry side channel
-#: the accel dispatcher copies into the per-solve flow records.
+#: planner) or ``"scalar"`` (the pure loop), and how many batched rounds
+#: its phases ran -- the telemetry side channel the accel dispatcher
+#: copies into the per-solve flow records.
 LAST_BFS_MODE = "scalar"
+LAST_ROUNDS = 0
 
 
 def on_views(fn, args, offsets=None):
@@ -78,11 +122,15 @@ def _plan_phase(source, sink, head, cap, adj_start, adj_arcs):
     """One phase's level graph, cut down to its shortest augmenting paths.
 
     Returns ``None`` when the sink is unreachable, else ``(arcs,
-    sub_head, sub_start, sub_level)``: the original ids of the arcs kept,
-    grouped by tail in adjacency order, and the paired head array, CSR
-    offsets and levels (the last two as lists) of the compacted network,
-    in which kept arc ``j`` is arc ``2 * j`` and its reverse ``2 * j +
-    1``.  The compacted source is node 0 and the sink the last node.
+    sub_head, sub_start, sub_level, level_start)``: the original ids of
+    the arcs kept, grouped by tail in adjacency order, and the paired
+    head array, CSR offsets and levels (the last two as lists) of the
+    compacted network, in which kept arc ``j`` is arc ``2 * j`` and its
+    reverse ``2 * j + 1``.  The kept arcs are concatenated level by
+    level, so the arcs leaving level ``d`` are the slice
+    ``level_start[d]:level_start[d + 1]``, and the compacted nodes are
+    numbered in level order: the source is node 0 and the sink the last
+    node.  :func:`_push_rounds` relies on that layout.
     """
     n = len(adj_start) - 1
     level = np.full(n, -1, dtype=np.int64)
@@ -106,6 +154,8 @@ def _plan_phase(source, sink, head, cap, adj_start, adj_arcs):
         arcs = layers[d][on_path[head[layers[d]]]]
         on_path[head[arcs ^ 1]] = True
         layers[d] = arcs
+    level_start = np.zeros(depth + 1, dtype=np.int64)
+    np.cumsum([layer.size for layer in layers], out=level_start[1:])
     arcs = np.concatenate(layers)
     tails = head[arcs ^ 1]
     first = np.empty(arcs.size, dtype=bool)
@@ -113,6 +163,9 @@ def _plan_phase(source, sink, head, cap, adj_start, adj_arcs):
     np.not_equal(tails[1:], tails[:-1], out=first[1:])
     sub_tail = np.cumsum(first) - 1
     nodes = tails[first]
+    # level d's arcs leave level-d nodes only: each level is one slice
+    # of the arcs and one range of the compacted nodes
+    assert np.array_equal(level[tails], np.repeat(np.arange(depth), np.diff(level_start)))
     sub_id = np.empty(n, dtype=np.int64)  # read only at kept nodes
     sub_id[nodes] = np.arange(nodes.size)
     sub_id[sink] = nodes.size
@@ -122,10 +175,125 @@ def _plan_phase(source, sink, head, cap, adj_start, adj_arcs):
     sub_start = np.searchsorted(sub_tail, np.arange(nodes.size + 2))
     sub_level = level[nodes].tolist()
     sub_level.append(depth)
-    return arcs, sub_head, sub_start.tolist(), sub_level
+    return arcs, sub_head, sub_start.tolist(), sub_level, level_start.tolist()
+
+
+def _water_fill(amount, cap, starts, counts):
+    """Pour ``amount[i]`` into run ``i`` of ``cap``, entry after entry.
+
+    The runs are consecutive, ``counts[i]`` entries from ``starts[i]``.
+    Each entry takes ``min(cap, what its run has left)``; one cumulative
+    sum gives every entry what the entries before it in its run took.
+    Every share lies in ``[0, cap]``.
+    """
+    before = np.empty_like(cap)
+    before[0] = 0.0
+    np.cumsum(cap[:-1], out=before[1:])
+    left = np.repeat(amount + before[starts], counts)
+    left -= before
+    np.maximum(left, 0.0, out=left)
+    return np.minimum(left, cap, out=left)
+
+
+class _Level:
+    """The arcs leaving one level of a planned phase, indexed once for
+    every round of :func:`_push_rounds`: their slice of the kept arcs,
+    the CSR runs of their tails, their heads numbered within the next
+    level, and the same arcs stably sorted by head with the runs of
+    each head."""
+
+    __slots__ = ("arcs", "out_starts", "out_counts", "rel_head", "by_head",
+                 "in_starts", "in_counts")
+
+    def __init__(self, sub_head, sub_start, a0, a1, n0, n1, n2):
+        offsets = sub_start[n0 : n1 + 1] - a0
+        self.arcs = slice(a0, a1)
+        self.out_starts = offsets[:-1]
+        self.out_counts = np.diff(offsets)
+        self.rel_head = sub_head[2 * a0 : 2 * a1 : 2] - n1
+        self.by_head = np.argsort(self.rel_head, kind="stable")
+        self.in_counts = np.bincount(self.rel_head, minlength=n2 - n1)
+        self.in_starts = np.zeros(n2 - n1, dtype=np.int64)
+        np.cumsum(self.in_counts[:-1], out=self.in_starts[1:])
+
+
+def _push_rounds(sub_head, sub_cap, sub_start, level_start, total):
+    """Batched blocking-flow rounds over one planned level graph.
+
+    Karzanov's preflow scheme, one level per array expression; each
+    round is three sweeps over the levels of the compacted network:
+
+    1. *reach*, deepest level first: ``e = min(residual, reach[head])``
+       per arc and ``reach[tail] = Σ e`` -- an upper bound on what each
+       node can still deliver to the sink (the sink's is unbounded);
+       residuals at most EPS count as zero, as in the DFS;
+    2. *forward push*: the source sends ``e`` on every arc; each other
+       node water-fills what arrives on its in-arcs over its out-arcs,
+       in adjacency order, capped by ``e``, giving ``f``;
+    3. *backward balance*, deepest level first: the sink accepts all
+       that arrives; each other node accepts what its out-arcs were
+       accepted and water-fills it over its in-arcs, in adjacency
+       order, capped by ``f``, giving ``g``.
+
+    Then ``g`` is applied: residual ``-= g``, reverse ``+= g``.  As
+    ``g <= f <= e <= residual`` and every inner node passes on what it
+    accepted, each round adds a feasible flow, of value what the source
+    arcs were accepted.  If a path of arcs with residual above EPS is
+    left, every node on it has a reach above EPS, so a source reach at
+    most EPS proves the phase blocked.  Returns ``(total, rounds,
+    blocked)``; unless ``blocked``, the rounds stalled (one added at
+    most EPS) or :data:`MAX_ROUNDS` ran, and the DFS finishes the phase.
+    """
+    nodes = len(sub_start) - 1
+    node_start = [sub_head[2 * a + 1] for a in level_start[:-1]] + [nodes - 1, nodes]
+    sub_start = np.asarray(sub_start)
+    levels = [
+        _Level(sub_head, sub_start, level_start[d], level_start[d + 1],
+               node_start[d], node_start[d + 1], node_start[d + 2])
+        for d in range(len(level_start) - 1)
+    ]
+    residual = sub_cap[0::2]
+    reverse = sub_cap[1::2]
+    rounds = 0
+    while True:
+        e = []
+        reach = None  # of the heads of the level at hand
+        for lv in reversed(levels):
+            left = residual[lv.arcs]
+            e_d = np.where(left > EPS, left, 0.0)
+            if reach is not None:
+                np.minimum(e_d, reach[lv.rel_head], out=e_d)
+            reach = np.add.reduceat(e_d, lv.out_starts)
+            e.append(e_d)
+        e.reverse()
+        if reach[0] <= EPS:
+            return total, rounds, True
+        if rounds == MAX_ROUNDS:
+            return total, rounds, False
+        f = [e[0]]
+        for prev, lv, e_d in zip(levels, levels[1:], e[1:]):
+            arrived = np.bincount(prev.rel_head, weights=f[-1], minlength=prev.in_counts.size)
+            f.append(_water_fill(arrived, e_d, lv.out_starts, lv.out_counts))
+        del e
+        g = f.pop()  # the sink accepts all that arrives
+        for lv, nxt in zip(levels[-2::-1], levels[::-1]):
+            accepted = np.add.reduceat(g, nxt.out_starts)
+            residual[nxt.arcs] -= g
+            reverse[nxt.arcs] += g
+            f_d = f.pop()
+            g = np.empty_like(f_d)
+            g[lv.by_head] = _water_fill(accepted, f_d[lv.by_head], lv.in_starts, lv.in_counts)
+        residual[levels[0].arcs] -= g
+        reverse[levels[0].arcs] += g
+        added = float(g.sum())
+        total += added
+        rounds += 1
+        if added <= EPS:
+            return total, rounds, False
 
 
 def _planned_max_flow(source, sink, head, cap, adj_start, adj_arcs):
+    global LAST_ROUNDS
     total = 0.0
     bfs_passes = 0
     augments = 0
@@ -134,18 +302,25 @@ def _planned_max_flow(source, sink, head, cap, adj_start, adj_arcs):
         bfs_passes += 1
         if plan is None:
             return total, bfs_passes, augments
-        arcs, sub_head, sub_start, sub_level = plan
+        arcs, sub_head, sub_start, sub_level, level_start = plan
         rev = arcs ^ 1
         sub_cap = np.empty(2 * arcs.size)
         sub_cap[0::2] = cap[arcs]
         sub_cap[1::2] = cap[rev]
-        # the DFS indexes memoryviews as fast as lists, without one
-        # Python object per arc, and its writes land in sub_cap itself
-        total, pushed = pure.dinic_blocking_flow(
-            0, len(sub_start) - 2, memoryview(sub_head), memoryview(sub_cap),
-            sub_start, range(0, 2 * arcs.size, 2), sub_level, total,
-        )
-        augments += pushed
+        blocked = False
+        if arcs.size >= ROUNDS_MIN_ARCS:
+            total, rounds, blocked = _push_rounds(
+                sub_head, sub_cap, sub_start, level_start, total
+            )
+            LAST_ROUNDS += rounds
+        if not blocked:
+            # the DFS indexes memoryviews as fast as lists, without one
+            # Python object per arc, and its writes land in sub_cap itself
+            total, pushed = pure.dinic_blocking_flow(
+                0, len(sub_start) - 2, memoryview(sub_head), memoryview(sub_cap),
+                sub_start, range(0, 2 * arcs.size, 2), sub_level, total,
+            )
+            augments += pushed
         cap[arcs] = sub_cap[0::2]
         cap[rev] = sub_cap[1::2]
 
@@ -154,10 +329,13 @@ def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
     """Dinic, phases planned in numpy from :data:`PLAN_MIN_ARCS` entries.
 
     Takes the numpy arrays of a parametric network and returns
-    ``(total, bfs_passes, augments)`` like the pure tier.
+    ``(total, bfs_passes, augments)`` like the pure tier; ``augments``
+    counts the DFS's paths only, and :data:`LAST_ROUNDS` the batched
+    rounds.
     """
-    global LAST_BFS_MODE
+    global LAST_BFS_MODE, LAST_ROUNDS
     args = (source, sink, head, cap, adj_start, adj_arcs)
+    LAST_ROUNDS = 0
     if len(head) < PLAN_MIN_ARCS:
         LAST_BFS_MODE = "scalar"
         return on_views(pure.dinic_max_flow, args, 4)

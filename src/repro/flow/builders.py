@@ -33,6 +33,7 @@ from typing import Iterable, Optional, Sequence
 
 from .. import obs
 from ..cliques.index import CliqueIndex
+from ..cliques.kernels import _id_edges
 from ..graph.graph import Graph, Vertex
 from .network import np
 from .parametric import ParametricNetwork
@@ -132,8 +133,49 @@ def build_eds_parametric(graph: Graph, anchors: Iterable[Vertex] = ()) -> Parame
     """Parametric Goldberg EDS network: sink caps ``(m - deg(v)) + 2α``.
 
     ``anchors`` get an extra infinite ``s -> v`` arc pinning them to the
-    source side of every cut (the query-variant construction).
+    source side of every cut (the query-variant construction).  With
+    numpy the arc arrays are emitted vectorised from the edges as id
+    pairs, in :meth:`Graph.edges` order; they equal the loop's
+    (:func:`_eds_parametric_loop`).
     """
+    if np is None:
+        return _eds_parametric_loop(graph, anchors)
+    vertices = list(graph)
+    index = {v: i for i, v in enumerate(vertices)}
+    nv = len(vertices)
+    source, sink = nv, nv + 1
+    srcs, dsts = _id_edges(graph, index)
+    tail = np.asarray(srcs, dtype=np.int64)
+    other = np.asarray(dsts, dtype=np.int64)
+    pinned = np.asarray([index[q] for q in anchors], dtype=np.int64)
+    m = float(graph.num_edges)
+    edge0 = 4 * nv
+    anchor0 = edge0 + 4 * tail.size
+    head = np.empty(anchor0 + 2 * pinned.size, dtype=np.int32)
+    cap = np.zeros(head.size)
+    vid = np.arange(nv)
+    head[0:edge0:4] = vid  # s -> v, capacity m
+    head[1:edge0:4] = source
+    cap[0:edge0:4] = m
+    head[2:edge0:4] = sink  # v -> t, capacity m - deg(v) + 2α
+    head[3:edge0:4] = vid
+    cap[2:edge0:4] = m - np.bincount(np.concatenate((tail, other)), minlength=nv)
+    head[edge0:anchor0:4] = other  # u -> v and v -> u, capacity 1
+    head[edge0 + 1 : anchor0 : 4] = tail
+    head[edge0 + 2 : anchor0 : 4] = tail
+    head[edge0 + 3 : anchor0 : 4] = other
+    cap[edge0:anchor0:2] = 1.0
+    head[anchor0::2] = pinned  # s -> q, capacity INF
+    head[anchor0 + 1 :: 2] = source
+    cap[anchor0::2] = INF
+    return ParametricNetwork(
+        sink + 1, source, sink, head, cap, 4 * vid + 2, np.full(nv, 2.0), vertices,
+        alpha_src=4 * vid,
+    )
+
+
+def _eds_parametric_loop(graph: Graph, anchors: Iterable[Vertex]) -> ParametricNetwork:
+    """The arc arrays of :func:`build_eds_parametric`, one arc at a time."""
     m = float(graph.num_edges)
     asm = _ParametricAssembler(list(graph))
     for i, v in enumerate(asm.vertices):

@@ -12,9 +12,10 @@ The solver runs on the flat arc arrays exposed by
 kernel registry: the numba tier compiles the whole BFS + DFS to native
 code; the numpy tier plans each phase in numpy from
 :data:`~repro.accel.vector.PLAN_MIN_ARCS` arc entries -- the level
-graph cut down to the arcs of shortest augmenting paths -- and runs the
-reference DFS on those arcs alone; the python tier runs the portable
-scalar loops.  All tiers are bit-identical.
+graph cut down to the arcs of shortest augmenting paths -- computes the
+blocking flow of a large phase in batched array rounds and runs the
+reference DFS on the rest; the python tier runs the portable scalar
+loops.  Every tier leaves the same minimal min cut.
 """
 
 from __future__ import annotations

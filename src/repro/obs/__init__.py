@@ -140,7 +140,8 @@ class Collector:
         "serve"}``: per-span-name call counts and total seconds,
         per-event-name counts, the counter map, the flow-solve
         aggregate (solve count, warm/cold split, per-mode / per-tier /
-        per-BFS-mode counts, pass totals, total solve seconds), and the
+        per-BFS-mode counts, the BFS-pass, augmenting-path and batched-
+        round totals, total solve seconds), and the
         snapshot-cache rollup (hit/miss/load counts, evictions per
         tier, and the hit ratio ``(hits + loads) / lookups`` -- the
         serving layer's load metric; ``None`` before any lookup).
@@ -156,6 +157,7 @@ class Collector:
             "bfs_modes": {},
             "bfs_passes": 0,
             "augments": 0,
+            "rounds": 0,
             "seconds": 0.0,
         }
         for rec in self.records:
@@ -180,6 +182,7 @@ class Collector:
                     flow["bfs_modes"][bfs_mode] = flow["bfs_modes"].get(bfs_mode, 0) + 1
                 flow["bfs_passes"] += fields.get("bfs_passes", 0) or 0
                 flow["augments"] += fields.get("augments", 0) or 0
+                flow["rounds"] += fields.get("rounds", 0) or 0
                 flow["seconds"] += fields.get("seconds", 0.0) or 0.0
         counters = dict(self.counters)
         hits = counters.get("serve.hits", 0)

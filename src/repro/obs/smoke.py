@@ -2,13 +2,17 @@
 
 The ``make trace-smoke`` entry point (CI runs it too).  Solves a small
 but non-trivial workload -- Exact and CoreExact, edge and triangle
-densities -- with tracing streamed to a JSONL file, then validates
-every record against the schema in :mod:`repro.obs.validate` and
-prints the per-phase rollup.  Exits non-zero on any schema error, on a
-trace with no ``flow.solve`` events or no warm-started ones, or when
-the legacy ``stats`` timings stop reconciling with the span durations
-(they are built from the same floats, so the comparison is exact
-equality).
+densities, plus one Exact solve on a graph large enough for the numpy
+tier's batched blocking-flow rounds -- with tracing streamed to a JSONL
+file, then validates every record against the schema in
+:mod:`repro.obs.validate` and prints the per-phase rollup.  Exits
+non-zero on any schema error, on a trace with no ``flow.solve`` events
+or no warm-started ones, when the legacy ``stats`` timings stop
+reconciling with the span durations (they are built from the same
+floats, so the comparison is exact equality), when the Dinic work the
+``flow.solve`` events carry (BFS passes, DFS augmenting paths, batched
+rounds) differs from the ``accel.dinic.*`` counters, or when the numpy
+tier ran no batched round.
 
 Usage::
 
@@ -22,7 +26,7 @@ import os
 import random
 import sys
 
-from .. import api, obs
+from .. import accel, api, obs
 from ..graph.graph import Graph
 from .validate import validate_trace
 
@@ -56,6 +60,7 @@ def run(path: str) -> int:
                         f"{method} h={h}: flow span "
                         f"{sp[-1]['dur_s']} != stats {stats['flow_seconds']}"
                     )
+    api.densest_subgraph(_workload_graph(1000, 12000, seed=11), 2, method="exact")
 
     rollup = obs.summary()
     obs.close()
@@ -67,6 +72,13 @@ def run(path: str) -> int:
     print(f"trace: {path} ({count} records)")
     print(f"flow solves: {flow['solves']} "
           f"(warm {flow['warm']} / cold {flow['cold']}; modes {flow['modes']})")
+    print(f"dinic work: {flow['bfs_passes']} BFS passes, {flow['augments']} DFS "
+          f"augmenting paths, {flow['rounds']} batched rounds")
+    counters = rollup["counters"]
+    for work in ("bfs_passes", "augments", "rounds"):
+        counted = counters.get(f"accel.dinic.{work}", 0)
+        if flow[work] != counted:
+            failures.append(f"flow.solve {work} {flow[work]} != accel.dinic.{work} {counted}")
     print("phase rollup:")
     for name, agg in sorted(rollup["spans"].items()):
         print(f"  {name:28s} x{agg['count']:<4d} {agg['total_s'] * 1e3:9.2f} ms")
@@ -83,6 +95,9 @@ def run(path: str) -> int:
     if flow["warm"] == 0:
         ok = False
         print("ERROR: no warm-started solves in the trace", file=sys.stderr)
+    if accel.KERNEL_TIERS["dinic"] == "numpy" and flow["rounds"] == 0:
+        ok = False
+        print("ERROR: the numpy tier ran no batched blocking-flow round", file=sys.stderr)
     for failure in failures:
         ok = False
         print(f"STATS MISMATCH: {failure}", file=sys.stderr)

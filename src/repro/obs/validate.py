@@ -72,6 +72,7 @@ EVENT_SCHEMAS: dict[str, dict[str, Field]] = {
         "bfs_mode": Field("str", required=False),
         "bfs_passes": Field("int", required=False, nonneg=True),
         "augments": Field("int", required=False, nonneg=True),
+        "rounds": Field("int", required=False, nonneg=True),
     },
     # a cooperative budget expiring (guard/__init__.py)
     "guard.deadline": {

@@ -7,7 +7,16 @@ import random
 import networkx as nx
 import pytest
 
+from repro import env, guard
 from repro.graph.graph import Graph
+
+
+@pytest.fixture(autouse=True)
+def _sanitizer_follows_the_environment():
+    """Every test runs with the sanitizer armed exactly when
+    ``REPRO_CHECK`` says so: a test that flips it must put it back, or
+    the rest of a checked suite would run unchecked."""
+    assert guard.CHECK == env.switch("REPRO_CHECK")
 
 
 def random_graph(n: int, m: int, seed: int) -> Graph:

@@ -17,22 +17,27 @@ Three layers of guarantees:
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro import accel
+from repro import accel, guard
+from repro.accel import pure
 from repro.core.clique_core import clique_core_decomposition
 from repro.core.core_exact import core_exact_densest
 from repro.core.exact import exact_densest
 from repro.core.peel import peel_densest
 from repro.extensions.size_constrained import densest_at_least, densest_at_most
 from repro.flow.builders import build_cds_parametric, build_eds_parametric
+from repro.flow.network import EPS
+from repro.guard import sanitize
 
 from .conftest import random_graph
-from .test_flow import random_network
+from .test_flow import nx_reference, random_network
+from .test_flow_parametric import _net_outflow, _network_of_kind, _plain_arcs
 
 SRC_DIR = str(Path(accel.__file__).resolve().parents[2])
 
@@ -47,6 +52,10 @@ def _tiers() -> list:
 
 TIERS = _tiers()
 MULTI = len(TIERS) >= 2
+
+#: A ``ROUNDS_MIN_ARCS`` no phase reaches: the DFS pushes every phase.
+NEVER = 1 << 62
+PUSH_ROUNDS, BLOCKING_FLOW = accel.vector._push_rounds, pure.dinic_blocking_flow
 
 
 @pytest.fixture(autouse=True)
@@ -169,18 +178,33 @@ class TestFlowKernelBitIdentity:
     @pytest.mark.skipif(accel.np is None, reason="vector tier needs numpy")
     @pytest.mark.parametrize("seed", range(50))
     def test_vectorised_bfs_bit_identical(self, seed, monkeypatch):
-        """Force the numpy phase planner on tiny networks: same flow
-        value, residual floats and cut as the python tier."""
+        """Force the numpy phase planner on tiny networks.  With the
+        DFS pushing every phase: same flow value, residual floats and
+        cut as the python tier.  With the batched rounds on every phase
+        (another maximum flow): the same cut, the same value to 1e-9
+        relative, and the sanitizer's flow-state battery passes."""
         accel.select_tier("python")
         ref = random_network(seed)
         ref_value = ref.max_flow()
         monkeypatch.setattr(accel.vector, "PLAN_MIN_ARCS", 0)
+        monkeypatch.setattr(accel.vector, "ROUNDS_MIN_ARCS", NEVER)
         accel.select_tier("numpy")
         net = random_network(seed)
         value = net.max_flow()
         assert value == ref_value
         assert list(net.cap) == list(ref.cap)
         assert net.source_side() == ref.source_side()
+
+        monkeypatch.setattr(accel.vector, "ROUNDS_MIN_ARCS", 0)
+        net = random_network(seed)
+        assert net.max_flow() == pytest.approx(ref_value, rel=1e-9, abs=EPS)
+        assert accel.vector.LAST_ROUNDS > 0 or ref_value == 0.0
+        assert net.source_side() == ref.source_side()
+        orig = [c for _, _, capacity in net.arcs for c in (capacity, 0.0)]
+        sanitize._check_flow_state(
+            net.source, net.sink, net.head.tolist(), net.cap.tolist(), orig,
+            net.adj_start.tolist(), net.adj_arcs.tolist(), f"network {seed}",
+        )
 
 
 # --------------------------------------------------------------------
@@ -195,7 +219,10 @@ class TestParametricBitIdentity:
         """A fixed up-and-down α walk must leave identical residual
         floats and cuts on every tier (exercises the retreat drains),
         and with the numpy phase planner forced on at any size -- on the
-        EDS network and, for the INF ψ→v arcs, on a CDS h=3 network."""
+        EDS network and, for the INF ψ→v arcs, on a CDS h=3 network.
+        With the batched rounds on every planned phase too, the walk
+        reaches other maximum flows: the same cuts and flow values, and
+        the sanitizer passes every solve."""
         import random as _random
 
         from repro.cliques.index import CliqueIndex
@@ -217,7 +244,10 @@ class TestParametricBitIdentity:
             out = {}
             for name, (build, alphas) in walks.items():
                 net = build()
-                out[name] = [(frozenset(net.solve(a)), tuple(net.cap)) for a in alphas]
+                out[name] = [
+                    (frozenset(net.solve(a)), tuple(net.cap), _net_outflow(net)[net.source])
+                    for a in alphas
+                ]
             return out
 
         traces = {}
@@ -226,11 +256,20 @@ class TestParametricBitIdentity:
             traces[tier] = walk()
         if accel.np is not None:
             monkeypatch.setattr(accel.vector, "PLAN_MIN_ARCS", 0)
+            monkeypatch.setattr(accel.vector, "ROUNDS_MIN_ARCS", NEVER)
             accel.select_tier("numpy")
             traces["planner"] = walk()
         base = traces[TIERS[0]]
         for tier, trace in traces.items():
             assert trace == base, tier
+        if accel.np is None:
+            return
+        monkeypatch.setattr(accel.vector, "ROUNDS_MIN_ARCS", 0)
+        monkeypatch.setattr(guard, "CHECK", True)  # audit every solve
+        for name, steps in walk().items():
+            for (cut, _, value), (ref_cut, _, ref_value) in zip(steps, base[name]):
+                assert cut == ref_cut, name
+                assert value == pytest.approx(ref_value, rel=1e-9, abs=EPS), name
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("h", [2, 3])
@@ -251,6 +290,75 @@ class TestParametricBitIdentity:
         base = results[TIERS[0]]
         for tier in TIERS[1:]:
             assert results[tier] == base, tier  # (cut, alpha, solves)
+
+
+# --------------------------------------------------------------------
+# the numpy tier's batched blocking flow, forced onto every phase
+# --------------------------------------------------------------------
+
+
+@pytest.mark.skipif(accel.np is None, reason="the batched rounds need numpy")
+class TestBatchedBlockingFlow:
+    """The push-and-balance rounds on every planned phase, over an
+    up-and-down α walk on random EDS, anchored EDS (Q = {0}), CDS h = 3
+    and grouped PDS (2-star, construct+) networks.  They reach another
+    maximum flow than the DFS alone, so after every solve: the flow
+    value is networkx's max-flow value, the node cut is the python
+    tier's, and the sanitizer's flow battery passes."""
+
+    KINDS = (0, 1, 2, 7)  # _network_of_kind: EDS, anchored, CDS h=3, grouped PDS
+
+    def _walk(self, seed, monkeypatch) -> dict:
+        rng = random.Random(seed)
+        g = random_graph(12 + seed % 7, 30 + seed, seed + 2000)
+        kind = self.KINDS[seed % 4]
+        accel.select_tier("python")
+        ref, high = _network_of_kind(g, kind)
+        ups = sorted(rng.uniform(0.0, high) for _ in range(3))
+        downs = sorted((rng.uniform(0.0, ups[-1]) for _ in range(2)), reverse=True)
+        alphas = ups + downs + downs[-1:]  # the repeat is a noop solve
+        ref_sides = []
+        for alpha in alphas:
+            ref.solve(alpha)
+            ref_sides.append(ref.min_cut_source_side())
+
+        stats = {"rounds": 0, "finisher_paths": 0}
+
+        def rounds(*args):
+            total, ran, blocked = PUSH_ROUNDS(*args)
+            stats["rounds"] += ran
+            return total, ran, blocked
+
+        def dfs(*args):
+            total, pushed = BLOCKING_FLOW(*args)
+            stats["finisher_paths"] += pushed  # every phase ran rounds first
+            return total, pushed
+
+        monkeypatch.setattr(accel.vector, "_push_rounds", rounds)
+        monkeypatch.setattr(pure, "dinic_blocking_flow", dfs)
+        monkeypatch.setattr(accel.vector, "PLAN_MIN_ARCS", 0)
+        monkeypatch.setattr(accel.vector, "ROUNDS_MIN_ARCS", 0)
+        accel.select_tier("numpy")
+        net, _ = _network_of_kind(g, kind)
+        for alpha, ref_side in zip(alphas, ref_sides):
+            net.solve(alpha)
+            value, _ = nx_reference(_plain_arcs(net, alpha))
+            assert _net_outflow(net)[net.source] == pytest.approx(value, rel=1e-9, abs=EPS), alpha
+            assert net.min_cut_source_side() == ref_side, alpha
+            sanitize.check_parametric(net)
+        return stats
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_walk_matches_networkx_and_the_python_cut(self, seed, monkeypatch):
+        assert self._walk(seed, monkeypatch)["rounds"] > 0
+
+    def test_dfs_finishes_what_one_round_leaves(self, monkeypatch):
+        """One round per phase, then the DFS finishes the phase: the same
+        checks on eight walks (each kind twice), in which the DFS pushes
+        what the single rounds left."""
+        monkeypatch.setattr(accel.vector, "MAX_ROUNDS", 1)
+        paths = [self._walk(seed, monkeypatch)["finisher_paths"] for seed in range(8)]
+        assert sum(paths) > 0, paths
 
 
 # --------------------------------------------------------------------

@@ -120,6 +120,26 @@ def _explicit_index(graph, h, seed) -> CliqueIndex:
 
 
 @pytest.mark.skipif(builders.np is None, reason="the vectorised builder needs numpy")
+@pytest.mark.parametrize("anchored", [False, True])
+def test_vectorised_eds_arrays_match_the_loop(anchored):
+    """The vectorised EDS arrays equal the arc-at-a-time loop's: node
+    count, heads, base capacities, the α-arc tables and the labels,
+    with and without anchors."""
+    for g in GRAPHS:
+        labels = list(g)
+        anchors = labels[:: max(1, len(labels) // 3)] if anchored else []
+        vec = builders.build_eds_parametric(g, anchors)
+        loop = builders._eds_parametric_loop(g, anchors)
+        assert (vec.num_nodes, vec.source, vec.sink) == (loop.num_nodes, loop.source, loop.sink)
+        assert vec.head.tolist() == loop.head.tolist()
+        assert vec.base_cap.tolist() == loop.base_cap.tolist()
+        assert vec.alpha_arcs.tolist() == loop.alpha_arcs.tolist()
+        assert vec.alpha_coeff.tolist() == loop.alpha_coeff.tolist()
+        assert vec.alpha_src.tolist() == loop.alpha_src.tolist()
+        assert vec.vertex_labels == loop.vertex_labels
+
+
+@pytest.mark.skipif(builders.np is None, reason="the vectorised builder needs numpy")
 @pytest.mark.parametrize("kind", ["graph-built", "explicit"])
 @pytest.mark.parametrize("h", H_VALUES)
 def test_vectorised_cds_arrays_match_the_loop(h, kind):

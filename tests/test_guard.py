@@ -59,10 +59,14 @@ def subgraph_density(g, vertices, h):
 
 @pytest.fixture(autouse=True)
 def _clean_guard_state():
+    checking = guard.CHECK  # REPRO_CHECK=1 arms it for the whole suite
     yield
     faults.reset()
     accel.select_tier(None)
-    guard.disable_checks()
+    if checking:
+        guard.enable_checks()
+    else:
+        guard.disable_checks()
     assert guard.ACTIVE is None
 
 
@@ -504,26 +508,28 @@ class TestFailover:
         assert real is not evil
 
     def test_planner_failure_mid_solve_restores_arrays(self, monkeypatch):
-        """A planned Dinic solve that fails after scattering a phase back
-        is undone, and the python retry leaves the same residuals."""
-        from repro.accel import pure, vector
+        """A planned Dinic solve whose batched rounds fail after a phase
+        was scattered back is undone, and the python retry leaves the
+        same residuals."""
+        from repro.accel import vector
 
         g = random_graph(60, 300, seed=53)
         accel.select_tier("python")
         ref = build_eds_parametric(g)
         ref_cut = ref.solve(5.0)  # four phases
         monkeypatch.setattr(vector, "PLAN_MIN_ARCS", 0)
+        monkeypatch.setattr(vector, "ROUNDS_MIN_ARCS", 0)
         accel.select_tier("numpy")
-        real = pure.dinic_blocking_flow
+        real = vector._push_rounds
         calls = []
 
         def flaky(*args):
             calls.append(None)
             if len(calls) == 2:  # the planner's second phase
-                raise RuntimeError("phase crashed after one scatter")
+                raise RuntimeError("rounds crashed after one scatter")
             return real(*args)
 
-        monkeypatch.setattr(pure, "dinic_blocking_flow", flaky)
+        monkeypatch.setattr(vector, "_push_rounds", flaky)
         net = build_eds_parametric(g)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -722,15 +728,17 @@ class TestTraceSchemas:
 # ---------------------------------------------------------------------
 
 
-def test_disabled_overhead_within_budget():
+def test_disabled_overhead_within_budget(monkeypatch):
     """The guard layer costs <= 2% of a solve cell when nothing is armed.
 
     Same non-flaky construction as the obs overhead test: measure the
     per-call cost of the disabled primitives (the ``guard.ACTIVE`` read
     the solvers make, the ``faults.ARMED`` read the dispatcher makes)
     and multiply by the checkpoint volume of a real cell, instead of
-    differencing two noisy end-to-end wall times.
+    differencing two noisy end-to-end wall times.  The sanitizer is
+    disarmed for the test, which a ``REPRO_CHECK=1`` suite arms.
     """
+    monkeypatch.setattr(guard, "CHECK", False)
     g = random_graph(70, 320, seed=3)
 
     # checkpoint volume of one cell, counted with tracing on

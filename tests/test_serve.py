@@ -22,6 +22,7 @@ multi-component random graphs pins it:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -233,6 +234,20 @@ def test_api_snapshot_gate_validates_requests():
     # the snapshot serves its own stored answer regardless of the graph
     lax = api.densest_subgraph(other, 3, strict=False, snapshot=snap)
     assert lax.vertices == snap.densest_subgraph().vertices
+
+
+def test_checked_lax_snapshot_lookup_recounts_a_matching_graph(monkeypatch):
+    """strict=False waives the key check, not the sanitizer: a snapshot
+    of this very graph is still recounted, so a corrupted stored answer
+    raises."""
+    g = _graph(3)
+    snap = Snapshot(g, 3)
+    good = snap.densest_subgraph()
+    assert good.density > 0.0
+    snap._densest = dataclasses.replace(good, density=good.density + 1.0)
+    monkeypatch.setattr(guard, "CHECK", True)
+    with pytest.raises(guard.SanitizerError, match="recomputed"):
+        api.densest_subgraph(g, 3, strict=False, snapshot=snap)
 
 
 # --- persistence: kill and reload -------------------------------------
