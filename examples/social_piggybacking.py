@@ -26,7 +26,7 @@ def main() -> None:
     print(f"social surrogate: n={graph.num_vertices} m={graph.num_edges}")
     print(f"global edges/vertex: {graph.edge_density():.2f}\n")
 
-    work = graph.copy()
+    work = graph
     total_edges = graph.num_edges
     covered = 0
     print("rank  size  density  edges  cumulative-coverage")
@@ -38,9 +38,7 @@ def main() -> None:
             f"{rank:4d}  {cluster.num_vertices:4d}  {result.density:7.2f}  "
             f"{cluster.num_edges:5d}  {covered / total_edges:6.1%}"
         )
-        for v in result.vertices:
-            if v in work:
-                work.remove_vertex(v)
+        work = work.subgraph(v for v in work if v not in result.vertices)
         if work.num_edges == 0:
             break
 

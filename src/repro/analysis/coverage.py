@@ -42,6 +42,8 @@ ENTRY_POINTS: dict[str, tuple[str, ...]] = {
     "core/core_exact.py": ("core_exact_densest",),
     "core/peel.py": ("peel_densest",),
     "core/core_app.py": ("core_app_densest",),
+    "core/inc_app.py": ("inc_app_densest",),
+    "core/query_variant.py": ("query_densest",),
     "core/pds.py": (
         "p_exact_densest",
         "core_p_exact_densest",

@@ -4,7 +4,7 @@ The cross-tier bit-identity suite (and the warm-start checkpoint
 machinery it certifies) assumes the solver paths are deterministic
 functions of their inputs.  Three syntactic hazards break that silently
 and are flagged in the solver-path modules (``core/``, ``flow/``,
-``cliques/``, ``extensions/``, plus ``accel/``):
+``cliques/``, plus ``accel/``):
 
 * **unordered iteration** -- a ``for`` loop (or comprehension clause)
   whose iterable is syntactically a set (set literal, set
@@ -35,7 +35,7 @@ from typing import Iterator
 from .core import Finding, Project, Rule, SourceFile, call_name, rule
 
 #: Directory names whose files are solver-path (plus accel itself).
-SOLVER_DIRS = frozenset({"core", "flow", "cliques", "extensions", "accel"})
+SOLVER_DIRS = frozenset({"core", "flow", "cliques", "accel"})
 
 #: Set-method calls whose result is an unordered set.
 SET_METHODS = frozenset({

@@ -233,10 +233,6 @@ class CliqueIndex:
             )
         return self._np_rows
 
-    def degree_list(self) -> list[int]:
-        """Initial clique-degrees by internal id (do not mutate)."""
-        return self.base_degree
-
     def member_subsets(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """Yield ``(member_id, ψ)`` for every (instance, member) pair.
 
@@ -388,31 +384,6 @@ class CliqueIndex:
                 self.num_alive -= 1
                 out.extend(flat[iid * h : iid * h + h])
         return out
-
-    def peel_vertex(self, v: Vertex) -> list[tuple[Vertex, ...]]:
-        """Kill every live instance containing ``v``; return those instances.
-
-        Label-level wrapper over :meth:`peel_vertex_ids` kept for the
-        consumers that work with external labels (the size-constrained
-        extensions, tests).
-        """
-        vid = self._id_of.get(v)
-        if vid is None:
-            return []
-        labels = self.vertices
-        flat = self.peel_vertex_ids(vid)
-        h = self.h
-        return [
-            tuple(labels[flat[k]] for k in range(i, i + h))
-            for i in range(0, len(flat), h)
-        ]
-
-    def live_instances(self) -> Iterator[tuple[Vertex, ...]]:
-        """Iterate over the instances that are still alive."""
-        alive = self.alive
-        for i in range(self.m):
-            if alive[i]:
-                yield self.instance(i)
 
     def reset(self) -> None:
         """Revive every instance (undo all peeling) in O(m)."""

@@ -9,6 +9,7 @@ without touching low cores.
 
 from __future__ import annotations
 
+from .. import guard, obs
 from ..cliques.index import CliqueIndex
 from ..graph.graph import Graph
 from .clique_core import clique_core_decomposition
@@ -24,18 +25,26 @@ def inc_app_densest(
     The instance index is built once (or passed in by the caller) and
     serves both the decomposition and the final core's density -- a
     row-subset count instead of a re-enumeration of the core subgraph.
+    Opens an ``inc_app.run`` span and is a budget checkpoint before any
+    work.
     """
     if h < 2:
         raise ValueError("h must be >= 2")
-    if graph.num_vertices == 0:
+    n = graph.num_vertices
+    if n == 0:
         return DensestSubgraphResult(set(), 0.0, "IncApp")
-    if index is None:
-        index = CliqueIndex(graph, h)
-    result = clique_core_decomposition(graph, h, index=index)
-    core = result.kmax_core(graph)
-    if core.num_vertices == 0:
-        return DensestSubgraphResult(set(graph.vertices()), 0.0, "IncApp")
-    density = index.count_within(set(core.vertices())) / core.num_vertices
+    with obs.span("inc_app.run", h=h, n=n) as sp:
+        budget = guard.ACTIVE
+        if budget is not None:
+            budget.tick_round("inc_app.run")
+        if index is None:
+            index = CliqueIndex(graph, h)
+        result = clique_core_decomposition(graph, h, index=index)
+        sp.attrs.update(kmax=result.kmax)
+        core = result.kmax_core(graph)
+        if core.num_vertices == 0:
+            return DensestSubgraphResult(set(graph.vertices()), 0.0, "IncApp")
+        density = index.count_within(set(core.vertices())) / core.num_vertices
     return DensestSubgraphResult(
         vertices=set(core.vertices()),
         density=density,

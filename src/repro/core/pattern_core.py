@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
 from typing import Optional
 
 from .. import guard
@@ -51,22 +52,31 @@ def pattern_core_subgraph(graph: Graph, pattern: Pattern, k: int) -> Graph:
 # ----------------------------------------------------------------------
 
 
-def _closed_form_cores(graph: Graph, degree: dict, remove) -> dict[Vertex, int]:
-    """Pattern-core numbers by a min-degree peel with closed-form updates.
+def _closed_form_cores(
+    graph: Graph, degree: dict, remove, size: int
+) -> tuple[dict[Vertex, int], list[Vertex], int, float]:
+    """Min-degree peel with closed-form updates: the cores and PeelApp.
 
-    ``degree`` holds every vertex's pattern-degree.  The peel runs on
-    dense ids in graph order: ``adj[i]`` is the set of vertex ``i``'s
-    live neighbour ids and ``deg[i]`` its current pattern-degree.
-    ``remove(adj, deg, v, changed)`` lowers the degrees that removing
-    ``v`` costs the survivors, adds each lowered id to the set
-    ``changed``, and unlinks ``v`` from its neighbours.  A lazy-deletion
-    heap keyed on ``(degree, id)`` picks each vertex in O(log n), with
-    one push per lowered vertex and removal; stale entries are skipped
-    on pop.  The tie order is the old linear min-scan's, graph order.
-    A key is the single int ``degree * n + id``: cheaper to push and
-    compare than a tuple.
+    ``degree`` holds every vertex's pattern-degree and ``size`` is
+    ``|V_Ψ|``.  The peel runs on dense ids: ``adj[i]`` is the set of
+    vertex ``i``'s live neighbour ids and ``deg[i]`` its current
+    pattern-degree.  ``remove(adj, deg, v, changed)`` lowers the degrees
+    that removing ``v`` costs the survivors, adds each lowered id to the
+    set ``changed``, and unlinks ``v`` from its neighbours.  A
+    lazy-deletion heap keyed on the single int ``degree * n + id`` picks
+    each vertex in O(log n), with one push per lowered vertex and
+    removal; stale entries are skipped on pop.  Ids are ranks in
+    ``(str(v), v)`` order, so a tie goes to the smallest label string,
+    a pure function of the graph (core numbers do not depend on it).
+
+    The instance count μ starts at ``Σ deg / size`` and drops by each
+    removed vertex's degree, so the same loop tracks PeelApp's densest
+    residual graph.  Every removal is a ``peel.round`` budget
+    checkpoint.  Returns ``(core, order, steps, density)``: the core
+    numbers in graph order, the removal order, the number of removals
+    before the densest residual graph, and that graph's density.
     """
-    labels = list(graph)
+    labels = sorted(graph, key=lambda v: (str(v), v))
     n = len(labels)
     id_of = {v: i for i, v in enumerate(labels)}
     adj = [{id_of[u] for u in graph.neighbors(v)} for v in labels]
@@ -75,21 +85,69 @@ def _closed_form_cores(graph: Graph, degree: dict, remove) -> dict[Vertex, int]:
     heapq.heapify(heap)
     core = [0] * n
     removed = bytearray(n)
+    order: list[Vertex] = []
+    mu = sum(deg) // size
+    best_density = mu / n if n else 0.0
+    best_step = 0
     current = 0
     changed: set[int] = set()
     push, pop = heapq.heappush, heapq.heappop
+    budget = guard.ACTIVE
     while heap:
         d, v = divmod(pop(heap), n)
         if removed[v] or deg[v] != d:
             continue
+        if budget is not None:
+            budget.tick_round()
         current = max(current, d)
         core[v] = current
         removed[v] = 1
+        order.append(labels[v])
+        mu -= d
         remove(adj, deg, v, changed)
         for u in changed:
             push(heap, deg[u] * n + u)
         changed.clear()
-    return dict(zip(labels, core))
+        left = n - len(order)
+        if left and mu / left > best_density:
+            best_density = mu / left
+            best_step = len(order)
+    return {v: core[id_of[v]] for v in graph}, order, best_step, best_density
+
+
+def _remove_star(tails: int, adj: list, deg: list, v: int, changed: set) -> None:
+    """The x-star's Appendix-D deltas for removing ``v`` (module docstring)."""
+    neighbours = adj[v]
+    y = len(neighbours)
+    for u in neighbours:
+        others = adj[u]
+        zu = len(others)
+        deg[u] -= math.comb(y - 1, tails - 1) + math.comb(zu - 1, tails - 1)
+        two_hop_delta = math.comb(zu - 2, tails - 2) if zu >= 2 else 0
+        if two_hop_delta:
+            for w in others:  # v itself included: it is gone already
+                deg[w] -= two_hop_delta
+            changed |= others
+    changed |= neighbours
+    changed.discard(v)
+    for u in neighbours:
+        adj[u].discard(v)
+
+
+def _remove_c4(adj: list, deg: list, v: int, changed: set) -> None:
+    """The C4's Appendix-D deltas for removing ``v`` (module docstring)."""
+    neighbours = adj[v]
+    for u, p in two_paths_by_endpoint(adj.__getitem__, v).items():
+        if p >= 2:
+            deg[u] -= math.comb(p, 2)
+            changed.add(u)
+            # each common neighbour w of v and u sides p-1 cycles
+            common = neighbours & adj[u]
+            for w in common:
+                deg[w] -= p - 1
+            changed |= common
+    for u in neighbours:
+        adj[u].discard(v)
 
 
 def star_core_decomposition(graph: Graph, tails: int) -> dict[Vertex, int]:
@@ -101,25 +159,8 @@ def star_core_decomposition(graph: Graph, tails: int) -> dict[Vertex, int]:
     """
     if tails < 2:
         raise ValueError("star fast path needs >= 2 tails")
-
-    def remove(adj: list, deg: list, v: int, changed: set) -> None:
-        neighbours = adj[v]
-        y = len(neighbours)
-        for u in neighbours:
-            others = adj[u]
-            zu = len(others)
-            deg[u] -= math.comb(y - 1, tails - 1) + math.comb(zu - 1, tails - 1)
-            two_hop_delta = math.comb(zu - 2, tails - 2) if zu >= 2 else 0
-            if two_hop_delta:
-                for w in others:  # v itself included: it is gone already
-                    deg[w] -= two_hop_delta
-                changed |= others
-        changed |= neighbours
-        changed.discard(v)
-        for u in neighbours:
-            adj[u].discard(v)
-
-    return _closed_form_cores(graph, star_degrees(graph, tails), remove)
+    remove = partial(_remove_star, tails)
+    return _closed_form_cores(graph, star_degrees(graph, tails), remove, tails + 1)[0]
 
 
 def c4_core_decomposition(graph: Graph) -> dict[Vertex, int]:
@@ -128,22 +169,7 @@ def c4_core_decomposition(graph: Graph) -> dict[Vertex, int]:
     O(n · d² + n log n) peel; agrees with the generic decomposition
     (tested).
     """
-
-    def remove(adj: list, deg: list, v: int, changed: set) -> None:
-        neighbours = adj[v]
-        for u, p in two_paths_by_endpoint(adj.__getitem__, v).items():
-            if p >= 2:
-                deg[u] -= math.comb(p, 2)
-                changed.add(u)
-                # each common neighbour w of v and u sides p-1 cycles
-                common = neighbours & adj[u]
-                for w in common:
-                    deg[w] -= p - 1
-                changed |= common
-        for u in neighbours:
-            adj[u].discard(v)
-
-    return _closed_form_cores(graph, c4_degrees(graph), remove)
+    return _closed_form_cores(graph, c4_degrees(graph), _remove_c4, 4)[0]
 
 
 def star_peel_densest(graph: Graph, tails: int) -> tuple[set[Vertex], float, int]:
@@ -152,53 +178,19 @@ def star_peel_densest(graph: Graph, tails: int) -> tuple[set[Vertex], float, int
     Never materialises instances: the instance count of the residual
     graph is ``Σ deg(v, Ψ) / (x + 1)`` (every star spans x+1 vertices),
     and removals adjust degrees by the Appendix-D deltas.  Returns
-    ``(best_vertices, best_density, iterations)``.  Under an active
-    budget every removal is a ``peel.round`` checkpoint.
+    ``(best_vertices, best_density, iterations)``, ``iterations`` being
+    the n - 1 removals down to one vertex.  Under an active budget
+    every removal is a ``peel.round`` checkpoint.
     """
     if tails < 2:
         raise ValueError("star fast path needs >= 2 tails")
-    n = graph.num_vertices
-    if n == 0:
+    if not graph.num_vertices:
         return set(), 0.0, 0
-    work = graph.copy()
-    degree = star_degrees(work, tails)
-    mu = sum(degree.values()) // (tails + 1)
-    alive = set(work.vertices())
-    best_density = mu / n
-    best_step = 0
-    removed: list[Vertex] = []
-    heap = [(d, str(v), v) for v, d in degree.items()]
-    heapq.heapify(heap)
-    iterations = 0
-    budget = guard.ACTIVE
-    while len(alive) > 1:
-        if budget is not None:
-            budget.tick_round()
-        iterations += 1
-        while True:
-            d, _, v = heapq.heappop(heap)
-            if v in alive and degree[v] == d:
-                break
-        removed.append(v)
-        mu -= degree[v]
-        y = work.degree(v)
-        for u in list(work.neighbors(v)):
-            zu = work.degree(u)
-            degree[u] -= math.comb(y - 1, tails - 1) + math.comb(zu - 1, tails - 1)
-            heapq.heappush(heap, (degree[u], str(u), u))
-            two_hop = math.comb(zu - 2, tails - 2) if zu >= 2 else 0
-            if two_hop:
-                for w in work.neighbors(u):
-                    if w != v:
-                        degree[w] -= two_hop
-                        heapq.heappush(heap, (degree[w], str(w), w))
-        work.remove_vertex(v)
-        alive.discard(v)
-        density = mu / len(alive)
-        if density > best_density:
-            best_density = density
-            best_step = iterations
-    return residual_vertices(graph, removed, best_step), best_density, iterations
+    remove = partial(_remove_star, tails)
+    _, order, steps, density = _closed_form_cores(
+        graph, star_degrees(graph, tails), remove, tails + 1
+    )
+    return residual_vertices(graph, order, steps), density, graph.num_vertices - 1
 
 
 def c4_peel_densest(graph: Graph) -> tuple[set[Vertex], float, int]:
@@ -207,46 +199,10 @@ def c4_peel_densest(graph: Graph) -> tuple[set[Vertex], float, int]:
     Same contract as :func:`star_peel_densest`; each cycle spans four
     vertices, so ``μ = Σ deg / 4``.
     """
-    n = graph.num_vertices
-    if n == 0:
+    if not graph.num_vertices:
         return set(), 0.0, 0
-    work = graph.copy()
-    degree = c4_degrees(work)
-    mu = sum(degree.values()) // 4
-    alive = set(work.vertices())
-    best_density = mu / n
-    best_step = 0
-    removed: list[Vertex] = []
-    heap = [(d, str(v), v) for v, d in degree.items()]
-    heapq.heapify(heap)
-    iterations = 0
-    budget = guard.ACTIVE
-    while len(alive) > 1:
-        if budget is not None:
-            budget.tick_round()
-        iterations += 1
-        while True:
-            d, _, v = heapq.heappop(heap)
-            if v in alive and degree[v] == d:
-                break
-        removed.append(v)
-        mu -= degree[v]
-        paths = two_paths_by_endpoint(work.neighbors, v)
-        for u, p in paths.items():
-            if p >= 2:
-                degree[u] -= math.comb(p, 2)
-                heapq.heappush(heap, (degree[u], str(u), u))
-                for w in work.neighbors(v):
-                    if w != u and work.has_edge(w, u):
-                        degree[w] -= p - 1
-                        heapq.heappush(heap, (degree[w], str(w), w))
-        work.remove_vertex(v)
-        alive.discard(v)
-        density = mu / len(alive)
-        if density > best_density:
-            best_density = density
-            best_step = iterations
-    return residual_vertices(graph, removed, best_step), best_density, iterations
+    _, order, steps, density = _closed_form_cores(graph, c4_degrees(graph), _remove_c4, 4)
+    return residual_vertices(graph, order, steps), density, graph.num_vertices - 1
 
 
 def fast_pattern_mu(graph: Graph, pattern: Pattern) -> Optional[int]:

@@ -36,9 +36,7 @@ def min_degree_peel(
 ) -> Iterator[tuple[Vertex, set[Vertex], int]]:
     """Min-Ψ-degree peel as a generator over a lazy-deletion heap.
 
-    The shared peel loop behind :func:`peel_densest` and the
-    size-constrained variants
-    (:mod:`repro.extensions.size_constrained`): repeatedly remove the
+    The peel loop behind :func:`peel_densest`: repeatedly remove the
     vertex of minimum ``(Ψ-degree, graph-order rank)``, updating
     degrees through the instance index.  The queue is a lazy-deletion
     binary heap over ``(degree, rank)`` -- O(log n) per operation even

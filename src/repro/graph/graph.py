@@ -51,7 +51,7 @@ class Graph:
             self.add_edge(u, v)
 
     # ------------------------------------------------------------------
-    # Construction / mutation
+    # Construction
     # ------------------------------------------------------------------
     def add_vertex(self, v: Vertex) -> None:
         """Add an isolated vertex (no-op if already present)."""
@@ -74,33 +74,6 @@ class Graph:
             self._adj[u].add(v)
             self._adj[v].add(u)
             self._num_edges += 1
-
-    def remove_vertex(self, v: Vertex) -> None:
-        """Remove ``v`` and all incident edges.
-
-        Raises
-        ------
-        KeyError
-            If ``v`` is not in the graph.
-        """
-        neighbors = self._adj.pop(v)
-        for u in neighbors:
-            self._adj[u].discard(v)
-        self._num_edges -= len(neighbors)
-
-    def remove_edge(self, u: Vertex, v: Vertex) -> None:
-        """Remove the edge ``{u, v}``.
-
-        Raises
-        ------
-        KeyError
-            If the edge is not present.
-        """
-        if u not in self._adj or v not in self._adj[u]:
-            raise KeyError(f"edge ({u!r}, {v!r}) not in graph")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        self._num_edges -= 1
 
     # ------------------------------------------------------------------
     # Inspection

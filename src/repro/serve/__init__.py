@@ -7,7 +7,7 @@ package productizes that observation into the serving layer the ROADMAP
 targets:
 
 * :class:`~repro.serve.snapshot.Snapshot` -- the immutable artifact
-  (per-component clique rows, GGT walk result, full breakpoint family)
+  (per-component GGT walk result and full breakpoint family)
   behind a content-hash key; all query methods are flow-free and
   bit-identical to the cold solvers.
 * :class:`~repro.serve.cache.ArtifactCache` -- memory LRU +

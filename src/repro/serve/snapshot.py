@@ -2,8 +2,8 @@
 
 A :class:`Snapshot` materialises everything the exact solvers would
 compute for one ``(graph, h)`` pair -- per connected component the
-canonical clique rows, the GGT discrete-Newton walk result, and the
-*entire* nested min-cut breakpoint family from
+GGT discrete-Newton walk result and the *entire* nested min-cut
+breakpoint family from
 :meth:`~repro.flow.parametric.ParametricNetwork.solve_breakpoints` --
 behind a content-hash key over the vertex/edge arrays, ``h`` and
 :data:`~repro.flow.network.EPS`.  After that one precompute, every
@@ -128,10 +128,6 @@ class ComponentArtifact:
 
     cid: int
     labels: list
-    esrc: list[int]
-    edst: list[int]
-    rows: list[int]
-    nodes: int
     walk_cut: Optional[tuple[int, ...]]
     walk_rho: float
     walk_count: int
@@ -201,26 +197,14 @@ class Snapshot:
             sub = graph.subgraph(cc)
             labels = list(sub)
             id_of = {v: i for i, v in enumerate(labels)}
-            pairs = []
-            for u in sub:
-                iu = id_of[u]
-                for v in sub.neighbors(u):
-                    iv = id_of[v]
-                    if iu < iv:
-                        pairs.append((iu, iv))
-            pairs.sort()
-            esrc = [p[0] for p in pairs]
-            edst = [p[1] for p in pairs]
             if self.h == 2:
                 subidx = None
-                rows: list[int] = []
                 m_inst = sub.num_edges
                 dmax = sub.max_degree()
                 density_of = lambda s: sub.subgraph(s).num_edges / len(s)
                 count_of = lambda s: sub.subgraph(s).num_edges
             else:
                 subidx = index.subindex(sub)
-                rows = list(subidx.inst)
                 m_inst = subidx.m
                 dmax = max(subidx.initial_degrees().values(), default=0)
                 density_of = subidx.density_within
@@ -229,10 +213,7 @@ class Snapshot:
                 # no Ψ instance: the cut is empty at every α >= 0, so
                 # the component needs no network and no solves at all
                 self.components.append(
-                    ComponentArtifact(
-                        cid, labels, esrc, edst, rows, 0,
-                        None, 0.0, 0, 0, [0.0], [()], [0],
-                    )
+                    ComponentArtifact(cid, labels, None, 0.0, 0, 0, [0.0], [()], [0])
                 )
                 continue
             if self.h == 2:
@@ -255,8 +236,7 @@ class Snapshot:
             walk_ids = tuple(sorted(id_of[v] for v in cut)) if cut else None
             self.components.append(
                 ComponentArtifact(
-                    cid, labels, esrc, edst, rows, net.num_nodes,
-                    walk_ids, float(rho),
+                    cid, labels, walk_ids, float(rho),
                     int(count_of(cut)) if cut else 0, int(solves),
                     fam_alphas, fam_cuts, fam_counts,
                 )

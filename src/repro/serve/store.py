@@ -11,13 +11,18 @@ tables:
     label list, the env fingerprint, byte size and LRU bookkeeping.
 ``components``
     One row per connected component: the flat int64/float64 artifact
-    arrays (edges, clique rows, walk cut, breakpoint family) packed as
-    little-endian blobs via :mod:`array` -- loadable with or without
-    numpy, byte-exact both ways.
+    arrays (walk cut, breakpoint family) packed as little-endian blobs
+    via :mod:`array` -- loadable with or without numpy, byte-exact both
+    ways.
 ``results``
     The materialized densest-subgraph answer per snapshot, so the most
     common query is one indexed row read even before the component
     artifacts are touched.
+
+The layout is versioned with SQLite's ``user_version``
+(:data:`SCHEMA_VERSION`): opening a file written under an older layout
+drops and recreates its tables, since the store is a cache and a row
+of the old layout cannot be filled by the new insert.
 
 Loading checks the stored EPS against the live
 :data:`repro.flow.network.EPS`: a flow-layer retune silently invalidates
@@ -48,6 +53,10 @@ from .snapshot import ComponentArtifact, Snapshot
 
 __all__ = ["SnapshotStore"]
 
+#: Layout version kept in ``PRAGMA user_version``; version 2 dropped the
+#: ``esrc``/``edst``/``inst_rows``/``nodes`` component columns.
+SCHEMA_VERSION = 2
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS snapshots (
     key TEXT PRIMARY KEY,
@@ -66,10 +75,6 @@ CREATE TABLE IF NOT EXISTS components (
     key TEXT NOT NULL,
     cid INTEGER NOT NULL,
     labels TEXT NOT NULL,
-    esrc BLOB NOT NULL,
-    edst BLOB NOT NULL,
-    inst_rows BLOB NOT NULL,
-    nodes INTEGER NOT NULL,
     walk_cut BLOB,
     walk_rho REAL NOT NULL,
     walk_count INTEGER NOT NULL,
@@ -134,7 +139,14 @@ class SnapshotStore:
         self._conn = sqlite3.connect(str(self.path))
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
+        (version,) = self._conn.execute("PRAGMA user_version").fetchone()
+        if version < SCHEMA_VERSION:
+            self._conn.executescript(
+                "DROP TABLE IF EXISTS snapshots; DROP TABLE IF EXISTS components; "
+                "DROP TABLE IF EXISTS results;"
+            )
         self._conn.executescript(_SCHEMA)
+        self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
         self._conn.commit()
 
     # --- write ---------------------------------------------------------
@@ -166,9 +178,6 @@ class SnapshotStore:
                 cutids.extend(ids)
                 offsets.append(len(cutids))
             blobs = (
-                _pack_i(art.esrc),
-                _pack_i(art.edst),
-                _pack_i(art.rows),
                 _pack_i(art.walk_cut) if art.walk_cut is not None else None,
                 _pack_f(art.fam_alphas),
                 _pack_i(art.fam_counts),
@@ -178,16 +187,15 @@ class SnapshotStore:
             nbytes += sum(len(b) for b in blobs if b is not None) + len(labels)
             comp_rows.append(
                 (
-                    snap.key, art.cid, labels, blobs[0], blobs[1], blobs[2],
-                    art.nodes, blobs[3], art.walk_rho, art.walk_count,
-                    art.walk_solves, blobs[4], blobs[5], blobs[6], blobs[7],
+                    snap.key, art.cid, labels, blobs[0], art.walk_rho,
+                    art.walk_count, art.walk_solves, blobs[1], blobs[2],
+                    blobs[3], blobs[4],
                 )
             )
         with self._conn:
             self._conn.execute("DELETE FROM components WHERE key = ?", (snap.key,))
             self._conn.executemany(
-                "INSERT INTO components VALUES "
-                "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "INSERT INTO components VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 comp_rows,
             )
             self._conn.execute(
@@ -254,13 +262,13 @@ class SnapshotStore:
         labels = json.loads(labels_json)
         components = []
         for crow in self._conn.execute(
-            "SELECT cid, labels, esrc, edst, inst_rows, nodes, walk_cut, "
-            "walk_rho, walk_count, walk_solves, fam_alphas, fam_counts, "
-            "fam_offsets, fam_cutids FROM components WHERE key = ? ORDER BY cid",
+            "SELECT cid, labels, walk_cut, walk_rho, walk_count, walk_solves, "
+            "fam_alphas, fam_counts, fam_offsets, fam_cutids FROM components "
+            "WHERE key = ? ORDER BY cid",
             (key,),
         ):
-            offsets = _unpack_i(crow[12])
-            cutids = _unpack_i(crow[13])
+            offsets = _unpack_i(crow[8])
+            cutids = _unpack_i(crow[9])
             fam_cuts = [
                 tuple(cutids[offsets[i] : offsets[i + 1]])
                 for i in range(len(offsets) - 1)
@@ -269,16 +277,12 @@ class SnapshotStore:
                 ComponentArtifact(
                     cid=crow[0],
                     labels=json.loads(crow[1]),
-                    esrc=_unpack_i(crow[2]),
-                    edst=_unpack_i(crow[3]),
-                    rows=_unpack_i(crow[4]),
-                    nodes=crow[5],
-                    walk_cut=tuple(_unpack_i(crow[6])) if crow[6] is not None else None,
-                    walk_rho=crow[7],
-                    walk_count=crow[8],
-                    walk_solves=crow[9],
-                    fam_alphas=_unpack_f(crow[10]),
-                    fam_counts=_unpack_i(crow[11]),
+                    walk_cut=tuple(_unpack_i(crow[2])) if crow[2] is not None else None,
+                    walk_rho=crow[3],
+                    walk_count=crow[4],
+                    walk_solves=crow[5],
+                    fam_alphas=_unpack_f(crow[6]),
+                    fam_counts=_unpack_i(crow[7]),
                     fam_cuts=fam_cuts,
                 )
             )

@@ -30,7 +30,6 @@ from repro.core.clique_core import clique_core_decomposition
 from repro.core.core_exact import core_exact_densest
 from repro.core.exact import exact_densest
 from repro.core.peel import peel_densest
-from repro.extensions.size_constrained import densest_at_least, densest_at_most
 from repro.flow.builders import build_cds_parametric, build_eds_parametric
 from repro.flow.network import EPS
 from repro.guard import sanitize
@@ -394,15 +393,11 @@ class TestEndToEndBitIdentity:
             accel.select_tier(tier)
             dec = clique_core_decomposition(g, h)
             peel = peel_densest(g, h)
-            at_least = densest_at_least(g, max(2, g.num_vertices // 3), h)
-            at_most = densest_at_most(g, max(2, g.num_vertices // 2), h)
             results[tier] = (
                 tuple(sorted(dec.core.items())), dec.kmax,
                 dec.best_residual_density, frozenset(dec.best_residual_vertices),
                 tuple(dec.peel_order),
                 frozenset(peel.vertices), peel.density, peel.iterations,
-                frozenset(at_least.vertices), at_least.density,
-                frozenset(at_most.vertices), at_most.density,
             )
         base = results[TIERS[0]]
         for tier in TIERS[1:]:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import guard
-from repro.cliques.enumeration import CliqueIndex, count_cliques
+from repro.cliques.enumeration import CliqueIndex, clique_degrees, count_cliques
 from repro.core import core_app, kcore
 from repro.core.core_app import core_app_densest
 from repro.core.core_exact import core_exact_densest
@@ -100,6 +100,26 @@ class TestPeelAppBestStep:
         assert result.iterations == iterations == rounds
         assert result.stats["degraded"] is True
         assert result.stats["degraded_incumbent"] == "partial-peel"
+
+
+class TestPeelOrderMatchesMinScan:
+    """PeelApp's lazy heap removes what a naive min-scan over
+    ``(Ψ-degree, graph-order rank)`` removes, step for step, with every
+    clique-degree recounted after each removal."""
+
+    @pytest.mark.parametrize("h", [2, 3])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_removal_order(self, seed, h):
+        g = random_graph(18, 50, seed=seed)
+        order = [v for v, _, _ in min_degree_peel(g, CliqueIndex(g, h))]
+        rank = {v: i for i, v in enumerate(g)}
+        work, expected = g, []
+        while work.num_vertices > 1:
+            degree = clique_degrees(work, h)
+            gone = min(work.vertices(), key=lambda u: (degree[u], rank[u]))
+            expected.append(gone)
+            work = work.subgraph(u for u in work if u != gone)
+        assert order == expected
 
 
 class TestPeelApp:

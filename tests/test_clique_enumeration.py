@@ -104,21 +104,21 @@ class TestCliqueIndex:
         g = complete_graph(4)
         index = CliqueIndex(g, 3)
         assert index.num_alive == 4
-        killed = index.peel_vertex(0)
-        assert len(killed) == 3  # triangles through vertex 0
+        killed = index.peel_vertex_ids(index.id_of(0))
+        assert len(killed) == 3 * 3  # triangles through vertex 0, 3 ids each
         assert index.num_alive == 1
 
     def test_peel_is_idempotent_per_instance(self):
         g = complete_graph(4)
         index = CliqueIndex(g, 3)
-        index.peel_vertex(0)
-        assert index.peel_vertex(0) == []
+        index.peel_vertex_ids(index.id_of(0))
+        assert index.peel_vertex_ids(index.id_of(0)) == []
 
     def test_live_instances_shrink(self):
         g = complete_graph(5)
         index = CliqueIndex(g, 3)
-        index.peel_vertex(0)
-        live = list(index.live_instances())
+        index.peel_vertex_ids(index.id_of(0))
+        live = [index.instance(i) for i in range(index.m) if index.alive[i]]
         assert len(live) == index.num_alive == math.comb(4, 3)
         assert all(0 not in inst for inst in live)
 

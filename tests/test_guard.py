@@ -330,6 +330,36 @@ class TestApiFallback:
         clean = pattern_peel_densest(g, pattern)
         assert (res.vertices, res.density) == (clean.vertices, clean.density)
 
+    @pytest.mark.parametrize("h", [2, 3])
+    def test_inc_app_dead_budget_falls_back_to_peel(self, h):
+        """IncApp checkpoints before its decomposition: a spent budget
+        stops it and the api answers with the peel approximation."""
+        g = random_graph(40, 160, seed=49)
+        with guard.Budget(deadline_s=0.0) as b:
+            res = densest_subgraph(g, h, method="inc-app")
+        assert b.expired[0] == "inc_app.run"
+        assert res.stats["fallback"] == "peel"
+        assert res.stats["degraded_at"] == "inc_app.run"
+        clean = peel_densest(g, h)
+        assert (res.vertices, res.density) == (clean.vertices, clean.density)
+
+    def test_query_variant_dead_budget_raises_before_any_work(self):
+        from repro.core.query_variant import query_densest
+
+        g = random_graph(40, 160, seed=51)
+        obs.enable()
+        try:
+            with guard.Budget(deadline_s=0.0):
+                with pytest.raises(guard.BudgetExceeded) as info:
+                    query_densest(g, [0])
+            col = obs.get_collector()
+            assert info.value.site == "query_variant.run"
+            assert col.spans("query_variant.run")
+            assert not col.spans("kcore.decomposition")
+            assert not col.events(obs.FLOW_SOLVE)
+        finally:
+            obs.disable()
+
     def test_budget_restored_after_fallback(self):
         g = random_graph(30, 120, seed=41)
         with guard.Budget(deadline_s=0.0) as b:

@@ -212,6 +212,33 @@ def test_core_app_spans_nest_the_kcore_under_the_run(tmp_path):
     assert validate_main([str(path)]) == 0
 
 
+def test_inc_app_and_query_variant_spans(tmp_path):
+    """IncApp and the §6.3 query variant each open one run span with
+    ``h``/``n``, and record the answer's kmax or solve count on it."""
+    from repro.core.inc_app import inc_app_densest
+    from repro.core.query_variant import query_densest
+    from repro.obs.validate import main as validate_main
+
+    graph = _random_graph(40, 160, seed=9)
+    path = tmp_path / "trace.jsonl"
+    obs.enable(sink=str(path))
+    inc = inc_app_densest(graph, 3)
+    query = query_densest(graph, [0])
+    obs.close()
+    col = obs.get_collector()
+    (inc_sp,) = col.spans("inc_app.run")
+    assert inc_sp["attrs"] == {"h": 3, "n": graph.num_vertices, "kmax": inc.stats["kmax"]}
+    assert inc.stats["kmax"] > 0
+    (index_sp,) = col.spans("cliques.index.build")
+    assert index_sp["parent"] == "inc_app.run"
+    (query_sp,) = col.spans("query_variant.run")
+    assert query_sp["attrs"] == {"h": 2, "n": graph.num_vertices, "solves": query.iterations}
+    assert query.iterations > 0
+    (kcore_sp,) = col.spans("kcore.decomposition")
+    assert kcore_sp["parent"] == "query_variant.run"
+    assert validate_main([str(path)]) == 0
+
+
 def test_traced_core_p_exact_validates(tmp_path):
     """CorePExact's trace: its own span around the instance index and
     CoreExact's decomposition and flow spans, on a schema-valid JSONL."""

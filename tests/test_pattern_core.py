@@ -69,14 +69,14 @@ class TestGenericPatternCores:
 
 class TestFastPaths:
     @pytest.mark.parametrize("tails", [2, 3])
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(20))
     def test_star_fast_path_matches_generic(self, tails, seed):
         g = random_graph(14, 40, seed=seed)
         fast = star_core_decomposition(g, tails)
         generic = pattern_core_decomposition(g, star_pattern(tails)).core
         assert fast == generic
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(20))
     def test_c4_fast_path_matches_generic(self, seed):
         g = random_graph(14, 40, seed=seed + 10)
         fast = c4_core_decomposition(g)
@@ -119,14 +119,15 @@ def _reference_fast_peel(graph, degrees_of, size):
     the live set whenever the density improves."""
     if not graph.num_vertices:
         return set(), 0.0, 0
-    work = graph.copy()
+    work = graph
     degree = degrees_of(work)
     best_density = sum(degree.values()) // size / work.num_vertices
     best_vertices = set(work.vertices())
     iterations = 0
     while work.num_vertices > 1:
         iterations += 1
-        work.remove_vertex(min(work.vertices(), key=lambda u: (degree[u], str(u))))
+        gone = min(work.vertices(), key=lambda u: (degree[u], str(u)))
+        work = work.subgraph(u for u in work if u != gone)
         degree = degrees_of(work)
         density = sum(degree.values()) // size / work.num_vertices
         if density > best_density:
@@ -157,6 +158,42 @@ class TestFastPeelsMatchReference:
 
         g = random_graph(14 + seed % 10, 30 + 2 * seed, seed=seed)
         assert c4_peel_densest(g) == _reference_fast_peel(g, c4_degrees, 4)
+
+
+def _reference_order(graph, degrees_of):
+    """The removal order those peels promise: recount every pattern-degree
+    and take the minimum ``(degree, str(v))`` until no vertex is left."""
+    work, order = graph, []
+    while work.num_vertices:
+        degree = degrees_of(work)
+        gone = min(work.vertices(), key=lambda u: (degree[u], str(u)))
+        order.append(gone)
+        work = work.subgraph(u for u in work if u != gone)
+    return order
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_closed_form_removal_order_breaks_ties_by_label_string(seed):
+    """On graphs whose iteration order is the reverse of their labels'
+    string order, the closed-form peel removes vertices in the
+    reference's ``(degree, str(v))`` order for the 2-star, the 3-star
+    and the C4."""
+    from functools import partial
+
+    from repro.core.pattern_core import _closed_form_cores, _remove_c4, _remove_star
+    from repro.patterns.degree import c4_degrees, star_degrees
+
+    base = random_graph(14 + seed, 24 + 2 * seed, seed=seed + 40)
+    n = base.num_vertices
+    name = {v: f"v{n - v:02d}" for v in base}
+    g = Graph(((name[u], name[v]) for u, v in base.edges()), vertices=[name[v] for v in base])
+    assert list(g) == sorted(g, reverse=True)
+    for tails in (2, 3):
+        degrees_of = partial(star_degrees, tails=tails)
+        order = _closed_form_cores(g, degrees_of(g), partial(_remove_star, tails), tails + 1)[1]
+        assert order == _reference_order(g, degrees_of), tails
+    order = _closed_form_cores(g, c4_degrees(g), _remove_c4, 4)[1]
+    assert order == _reference_order(g, c4_degrees)
 
 
 class TestFastPeels:

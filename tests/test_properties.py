@@ -201,16 +201,3 @@ def test_lemma7_cds_inside_core(g: Graph):
     k = math.ceil(result.density - 1e-9)
     core_members = {v for v, c in decomposition.core.items() if c >= k}
     assert result.vertices <= core_members
-
-
-@settings(max_examples=25, deadline=None)
-@given(graphs(max_vertices=12, max_extra_edges=30))
-def test_streaming_guarantee_property(g: Graph):
-    """Bahmani et al.: batch peeling is a 1/(2+2eps)-approximation."""
-    from repro.extensions.streaming import streaming_densest
-
-    eps = 0.25
-    optimum = core_exact_densest(g, 2).density
-    approx = streaming_densest(g, eps).density
-    assert approx <= optimum + 1e-9
-    assert approx >= optimum / (2.0 + 2.0 * eps) - 1e-9

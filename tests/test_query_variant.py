@@ -1,10 +1,13 @@
 """Tests for the query-constrained densest subgraph (Section 6.3)."""
 
 import itertools
+import math
 
 import pytest
 
+from repro.core.kcore import core_decomposition
 from repro.core.query_variant import anchored_core, query_densest
+from repro.flow.builders import build_eds_parametric
 from repro.graph.graph import Graph, complete_graph
 
 from .conftest import random_graph
@@ -109,3 +112,55 @@ class TestExactBoundaryRegression:
         # optimum = K8 + {101} (+ maybe 100): 28 edges + 2 over 10
         assert 101 in result.vertices
         assert result.density >= 28 / 9 - 1e-9
+
+
+def _rescan_anchored_core(graph, anchors, k):
+    """The anchored k-core by whole-graph rescans: each round drops every
+    non-anchor vertex of degree < k; the survivors keep graph order."""
+    kept = list(graph)
+    while True:
+        work = Graph(vertices=kept)
+        for u in kept:
+            for v in graph.neighbors(u):
+                if v in work:
+                    work.add_edge(u, v)
+        doomed = {v for v in kept if v not in anchors and work.degree(v) < k}
+        if not doomed:
+            return work
+        kept = [v for v in kept if v not in doomed]
+
+
+def _reference_query(graph, query):
+    """The query variant with its own walk loop over the rescanned core:
+    keep the x-core witness unless a cut of the walk is strictly denser."""
+    anchors = set(query)
+    core = core_decomposition(graph)
+    x = min(core[q] for q in anchors)
+    best = {v for v, c in core.items() if c >= x} | anchors
+    best_density = graph.subgraph(best).edge_density()
+    alpha = max(x / 2.0, best_density)
+    domain = _rescan_anchored_core(graph, anchors, math.ceil(alpha))
+    net = build_eds_parametric(domain, anchors=anchors)
+    iterations = 0
+    while True:
+        cut = net.solve(alpha)
+        iterations += 1
+        density = domain.subgraph(cut).edge_density()
+        if density <= alpha:
+            return best, best_density, iterations
+        if density > best_density:
+            best, best_density = cut, density
+        alpha = density
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_matches_the_rescan_reference(seed):
+    """Vertex set, density bits and solve count equal the reference's."""
+    n = 20 + seed % 41
+    g = random_graph(n, n * (2 + seed % 3), seed=seed + 100)
+    query = [seed % n] if seed % 2 else [seed % n, (seed * 7 + 3) % n]
+    result = query_densest(g, query)
+    vertices, density, iterations = _reference_query(g, query)
+    assert result.vertices == vertices
+    assert repr(result.density) == repr(density)
+    assert result.iterations == iterations

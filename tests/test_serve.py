@@ -318,6 +318,83 @@ def test_store_evicts_rows_built_under_a_different_eps(tmp_path):
     store.close()
 
 
+#: The store layout before ``PRAGMA user_version`` was set: its
+#: components table also held the edge pairs, instance rows and node
+#: count that no query read.
+_V1_SCHEMA = """
+CREATE TABLE snapshots (
+    key TEXT PRIMARY KEY,
+    h INTEGER NOT NULL,
+    eps REAL NOT NULL,
+    n INTEGER NOT NULL,
+    m INTEGER NOT NULL,
+    labels TEXT NOT NULL,
+    env TEXT NOT NULL,
+    iterations INTEGER NOT NULL,
+    nbytes INTEGER NOT NULL,
+    created_s REAL NOT NULL,
+    last_used_s REAL NOT NULL
+);
+CREATE TABLE components (
+    key TEXT NOT NULL,
+    cid INTEGER NOT NULL,
+    labels TEXT NOT NULL,
+    esrc BLOB NOT NULL,
+    edst BLOB NOT NULL,
+    inst_rows BLOB NOT NULL,
+    nodes INTEGER NOT NULL,
+    walk_cut BLOB,
+    walk_rho REAL NOT NULL,
+    walk_count INTEGER NOT NULL,
+    walk_solves INTEGER NOT NULL,
+    fam_alphas BLOB NOT NULL,
+    fam_counts BLOB NOT NULL,
+    fam_offsets BLOB NOT NULL,
+    fam_cutids BLOB NOT NULL,
+    PRIMARY KEY (key, cid)
+);
+CREATE TABLE results (
+    key TEXT PRIMARY KEY,
+    density REAL NOT NULL,
+    vertices BLOB NOT NULL,
+    iterations INTEGER NOT NULL
+);
+"""
+
+
+def test_store_rebuilds_a_file_of_the_older_layout(tmp_path):
+    """A store file of the older layout (unversioned, NOT NULL columns
+    the current insert does not fill) is rebuilt on open: a save and a
+    load then work and serve the same answers."""
+    import sqlite3
+
+    conn = sqlite3.connect(str(tmp_path / "snapshots.sqlite"))
+    conn.executescript(_V1_SCHEMA)
+    conn.execute(
+        "INSERT INTO snapshots VALUES ('old', 2, 1e-9, 0, 0, '[]', '{}', 0, 0, 0.0, 0.0)"
+    )
+    conn.execute(
+        "INSERT INTO components VALUES "
+        "('old', 0, '[]', x'', x'', x'', 0, NULL, 0.0, 0, 0, x'', x'', x'', x'')"
+    )
+    conn.commit()
+    conn.close()
+    g, h = _graph(5), _h(5)
+    snap = Snapshot(g, h)
+    store = SnapshotStore(tmp_path)
+    assert store.save(snap)
+    store.close()
+    reopened = SnapshotStore(tmp_path)
+    assert reopened.keys() == [snap.key]
+    loaded = reopened.load(snap.key)
+    want, got = snap.densest_subgraph(), loaded.densest_subgraph()
+    assert (got.vertices, got.density) == (want.vertices, want.density)
+    for alpha in _midpoints(snap):
+        a, b = snap.query_density(alpha), loaded.query_density(alpha)
+        assert (a.vertices, a.density, a.count) == (b.vertices, b.density, b.count)
+    reopened.close()
+
+
 def test_store_lru_respects_the_byte_cap(tmp_path):
     store = SnapshotStore(tmp_path, cap_bytes=1)
     first, second = Snapshot(_graph(0), 2), Snapshot(_graph(10), 2)

@@ -41,7 +41,7 @@ from repro.core.pds import (
     pattern_peel_densest,
 )
 from repro.core.peel import peel_densest
-from repro.core.query_variant import query_densest
+from repro.core.query_variant import anchored_core, query_densest
 from repro.flow.builders import build_cds_parametric, build_eds_parametric, build_pds_parametric
 from repro.graph.graph import Graph
 from repro.patterns.isomorphism import enumerate_pattern_instances
@@ -294,6 +294,31 @@ def test_query_variant_against_every_superset(oracles):
             assert count[chosen] * best_size == best * size, (i, q)
             queries += 1
     assert queries == 2131
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_anchored_core_against_every_superset(small_atlas, k):
+    """The anchored k-core on every atlas graph with at most six
+    vertices, for Q = {0} and Q = {a maximum-degree vertex}: the union
+    of every S ⊇ Q whose non-anchor vertices have degree >= k in S."""
+    queries = 0
+    for i, graph in enumerate(small_atlas):
+        adjacency = {v: _mask(graph.neighbors(v)) for v in graph}
+        top = max(graph.vertices(), key=lambda v: (graph.degree(v), -v))
+        for q in {0, top}:
+            union = 0
+            for subset in range(1 << graph.num_vertices):
+                if subset >> q & 1 and all(
+                    (adjacency[v] & subset).bit_count() >= k
+                    for v in MEMBERS[subset]
+                    if v != q
+                ):
+                    union |= subset
+            core = anchored_core(graph, {q}, k)
+            assert _mask(core.vertices()) == union, (i, q)
+            assert core == graph.subgraph(core.vertices()), (i, q)
+            queries += 1
+    assert queries == 322
 
 
 # --- every min cut of the parametric networks on the small atlas graphs ---
