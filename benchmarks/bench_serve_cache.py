@@ -1,9 +1,10 @@
 """Query serving: cold solve vs warm snapshot vs restart-reload.
 
-PR 10 added the serving layer (:mod:`repro.serve`): one precompute
-materialises a :class:`~repro.serve.Snapshot` -- the per-component GGT
-walk plus the full min-cut breakpoint family -- after which every
-densest-subgraph / α-density query is a lookup.  The load-bearing
+The serving layer (:mod:`repro.serve`) runs one precompute that
+materialises a :class:`~repro.serve.Snapshot` -- per component the full
+min-cut breakpoint family, stored as one vertex order whose prefixes
+are the nested cuts -- after which every densest-subgraph / α-density
+query is a lookup.  The load-bearing
 contract is **bit-identity at zero flow solves**: warm answers equal
 the cold ``method="exact"`` run exactly, and the ``flow.solves``
 counter stays at zero across any number of warm queries.  This bench
@@ -12,7 +13,8 @@ asserts both on every cell while measuring what the snapshot buys.
 Per Figure-8 small-dataset cell (h in {2, 3}):
 
 * ``cold_s`` -- one full exact solve (enumeration + parametric flow);
-* ``precompute_s`` -- building the snapshot (walk + breakpoint sweep);
+* ``precompute_s`` -- building the snapshot (one breakpoint sweep per
+  component);
 * ``warm_s`` -- a served ``densest_subgraph()`` off the snapshot;
 * ``load_s`` / ``reload_warm_s`` -- restoring from the SQLite store on
   a fresh connection (the restart path) and querying the restored

@@ -8,7 +8,6 @@ from .clique_core import (
 )
 from .core_app import core_app_densest
 from .core_exact import core_exact_densest
-from .density import clique_density, edge_density
 from .exact import DensestSubgraphResult, exact_densest
 from .inc_app import inc_app_densest
 from .kcore import core_decomposition, degeneracy, k_core, max_core
@@ -19,12 +18,10 @@ __all__ = [
     "DensestSubgraphResult",
     "clique_core_decomposition",
     "clique_core_subgraph",
-    "clique_density",
     "core_app_densest",
     "core_decomposition",
     "core_exact_densest",
     "degeneracy",
-    "edge_density",
     "exact_densest",
     "inc_app_densest",
     "k_core",

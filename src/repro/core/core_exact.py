@@ -36,7 +36,7 @@ from ..guard import sanitize
 from ..flow.builders import build_cds_parametric, build_eds_parametric, build_pds_parametric
 from ..graph.graph import Graph, Vertex
 from .clique_core import CliqueCoreResult, clique_core_decomposition
-from .exact import DensestSubgraphResult
+from .exact import DensestSubgraphResult, _best_subgraph_density
 
 
 class _ComponentState:
@@ -99,19 +99,6 @@ class _ComponentState:
     @property
     def num_vertices(self) -> int:
         return self.graph.num_vertices
-
-
-def _subgraph_density(graph: Graph, vertices: set[Vertex], h: int, index=None) -> float:
-    if not vertices:
-        return 0.0
-    if index is not None:
-        return index.density_within(vertices)
-    sub = graph.subgraph(vertices)
-    if sub.num_vertices == 0:
-        return 0.0
-    if h == 2:
-        return sub.num_edges / sub.num_vertices
-    return CliqueIndex(sub, h).m / sub.num_vertices
 
 
 def _core_shrink(state: _ComponentState, level: float, core_of: dict) -> _ComponentState:
@@ -337,7 +324,7 @@ def core_exact_densest(
             key = frozenset(vertices)
             found = density_cache.get(key)
             if found is None:
-                found = density_cache[key] = _subgraph_density(graph, vertices, h, index)
+                found = density_cache[key] = _best_subgraph_density(graph, vertices, h, index)
             return found
 
         def merge_component(cut: Optional[set[Vertex]], rho: float) -> None:

@@ -7,9 +7,10 @@ package productizes that observation into the serving layer the ROADMAP
 targets:
 
 * :class:`~repro.serve.snapshot.Snapshot` -- the immutable artifact
-  (per-component GGT walk result and full breakpoint family)
-  behind a content-hash key; all query methods are flow-free and
-  bit-identical to the cold solvers.
+  (per component, the full breakpoint family in prefix form: one vertex
+  order whose prefixes are the nested cuts) behind a content-hash key;
+  all query methods are flow-free and bit-identical to the cold
+  solvers.
 * :class:`~repro.serve.cache.ArtifactCache` -- memory LRU +
   ``serve.hit`` / ``serve.miss`` / ``serve.load`` telemetry.
 * :class:`~repro.serve.store.SnapshotStore` -- SQLite (WAL) persistence

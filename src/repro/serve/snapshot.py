@@ -1,20 +1,21 @@
 """Immutable snapshot artifacts: precompute once, answer with zero flow work.
 
-A :class:`Snapshot` materialises everything the exact solvers would
-compute for one ``(graph, h)`` pair -- per connected component the
-GGT discrete-Newton walk result and the *entire* nested min-cut
-breakpoint family from
+A :class:`Snapshot` materialises what the exact solvers would compute
+for one ``(graph, h)`` pair -- per connected component the *entire*
+nested min-cut breakpoint family from
 :meth:`~repro.flow.parametric.ParametricNetwork.solve_breakpoints` --
 behind a content-hash key over the vertex/edge arrays, ``h`` and
-:data:`~repro.flow.network.EPS`.  After that one precompute, every
-query is a lookup:
+:data:`~repro.flow.network.EPS`.  The minimal min cuts of an
+α-parametric network are nested (Gallo–Grigoriadis–Tarjan), so each
+component stores its family in prefix form: one vertex order, innermost
+cut first, and per breakpoint the size and exact instance count of the
+prefix that is its cut -- O(n + B) for n vertices and B breakpoints.
+After that one precompute, every query is a lookup:
 
-* :meth:`Snapshot.densest_subgraph` merges the stored per-component
-  walk results into the answer of
-  :func:`repro.core.exact.exact_densest`'s whole-graph walk --
-  bit-identical to the cold path (see :meth:`Snapshot._merge_walks`;
-  densities are recomputed from the stored exact instance-count / size
-  integer pairs, so the floats match exactly);
+* :meth:`Snapshot.densest_subgraph` merges each component's last
+  non-empty cut -- its maximal densest subgraph -- into the answer of
+  :func:`repro.core.exact.exact_densest`'s whole-graph walk,
+  bit-identical to the cold path (see :meth:`Snapshot._merge`);
 * :meth:`Snapshot.query_density` binary-searches the breakpoint family
   (right-continuous: the applicable cut at ``α`` is the last entry with
   breakpoint ``α_i <= α``, the same convention the parametric tests
@@ -117,43 +118,77 @@ class CutInfo(NamedTuple):
 
 @dataclass
 class ComponentArtifact:
-    """One connected component's share of a snapshot.
+    """One connected component's share of a snapshot, in prefix form.
 
-    Vertex ids are dense ints over ``labels`` (the component's
-    graph-iteration order).  ``fam_*``
-    hold the breakpoint family sorted by α: ``fam_cuts[i]`` is the
-    minimal min cut on ``[fam_alphas[i], fam_alphas[i+1])`` and
-    ``fam_counts[i]`` its exact instance count.
+    ``labels`` lists the component's vertices innermost cut first, in
+    graph-iteration order within each layer.  ``fam_*`` hold the
+    breakpoint family sorted by α: the minimal min cut on
+    ``[fam_alphas[i], fam_alphas[i+1])`` is the prefix
+    ``labels[:fam_sizes[i]]`` and ``fam_counts[i]`` its exact instance
+    count.  ``fam_sizes`` never grows with ``i``.
     """
 
     cid: int
     labels: list
-    walk_cut: Optional[tuple[int, ...]]
-    walk_rho: float
-    walk_count: int
-    walk_solves: int
     fam_alphas: list[float]
-    fam_cuts: list[tuple[int, ...]]
+    fam_sizes: list[int]
     fam_counts: list[int]
 
     def lookup(self, alpha: float) -> int:
         """Family index applicable at ``alpha`` (right-continuous)."""
         return max(0, bisect_right(self.fam_alphas, alpha) - 1)
 
-    def cut_labels(self, ids) -> set:
-        """A stored id tuple as external vertex labels."""
-        labels = self.labels
-        return {labels[i] for i in ids}
+    def densest(self) -> int:
+        """Family index of the last non-empty cut, ``-1`` if there is none.
+
+        For α just below the optimum ρ*, the minimal maximiser of
+        μ(S) − α|S| is the union of all densest sets, so this cut is the
+        component's maximal densest subgraph -- the cut the Newton walk
+        of :func:`repro.core.exact.exact_densest` ends on.
+        """
+        i = len(self.fam_sizes) - 1
+        while i >= 0 and not self.fam_sizes[i]:
+            i -= 1
+        return i
+
+
+def _prefix_form(cid: int, labels: list, family, count_of) -> ComponentArtifact:
+    """Fold one component's breakpoint family into one vertex order.
+
+    ``family`` is ``solve_breakpoints``' ``[(α_i, S_i), ...]``.  Each
+    vertex's depth is the number of cuts holding it; ordering by depth,
+    deepest first, makes every ``S_i`` the prefix of its size.  Raises
+    ``RuntimeError`` when a cut is not inside the one before it, since
+    no prefix order can then represent the family.
+    """
+    depth = dict.fromkeys(labels, 0)
+    outer = None
+    for alpha, cut in family:
+        if outer is not None and not cut <= outer:
+            raise RuntimeError(
+                f"component {cid}: the min cut at alpha={alpha!r} is not inside "
+                f"the cut before it ({len(cut - outer)} vertices outside)"
+            )
+        for v in cut:
+            depth[v] += 1
+        outer = cut
+    return ComponentArtifact(
+        cid,
+        sorted(labels, key=lambda v: -depth[v]),  # stable: graph order within a layer
+        [float(alpha) for alpha, _ in family],
+        [len(cut) for _, cut in family],
+        [int(count_of(cut)) if cut else 0 for _, cut in family],
+    )
 
 
 class Snapshot:
     """Immutable query artifact for one ``(graph, h)`` pair.
 
-    Building one runs the full exact precompute (clique enumeration,
-    one GGT walk plus one breakpoint sweep per component -- every flow
-    solve ticks the active :class:`repro.guard.Budget`, so a deadline
-    degrades the *build*, never a warm query).  Every method after that
-    is flow-free.  Instances are restored from the persistence tier via
+    Building one runs the full exact precompute (clique enumeration and
+    one breakpoint sweep per component -- every flow solve ticks the
+    active :class:`repro.guard.Budget`, so a deadline degrades the
+    *build*, never a warm query).  Every method after that is
+    flow-free.  Instances are restored from the persistence tier via
     :meth:`restore` without re-running anything.
     """
 
@@ -196,51 +231,29 @@ class Snapshot:
         for cid, cc in enumerate(graph.connected_components()):
             sub = graph.subgraph(cc)
             labels = list(sub)
-            id_of = {v: i for i, v in enumerate(labels)}
             if self.h == 2:
-                subidx = None
                 m_inst = sub.num_edges
                 dmax = sub.max_degree()
-                density_of = lambda s: sub.subgraph(s).num_edges / len(s)
                 count_of = lambda s: sub.subgraph(s).num_edges
             else:
                 subidx = index.subindex(sub)
                 m_inst = subidx.m
                 dmax = max(subidx.initial_degrees().values(), default=0)
-                density_of = subidx.density_within
                 count_of = subidx.count_within
             if m_inst == 0:
                 # no Ψ instance: the cut is empty at every α >= 0, so
                 # the component needs no network and no solves at all
-                self.components.append(
-                    ComponentArtifact(cid, labels, None, 0.0, 0, 0, [0.0], [()], [0])
-                )
+                self.components.append(ComponentArtifact(cid, labels, [0.0], [0], [0]))
                 continue
             if self.h == 2:
                 net = build_eds_parametric(sub)
             else:
                 net = build_cds_parametric(sub, self.h, index=subidx)
-            cut, rho, solves = net.max_density(density_of, low=0.0)
             # ρ* <= dmax/h (h·μ(S) = Σ_{v∈S} deg_Ψ,S(v) <= |S|·dmax), so
             # the family on [0, dmax/h] covers the whole α axis: beyond
             # its last breakpoint the cut is empty forever
-            hi = float(dmax) / float(self.h)
-            family = net.solve_breakpoints(0.0, hi)
-            fam_alphas: list[float] = []
-            fam_cuts: list[tuple[int, ...]] = []
-            fam_counts: list[int] = []
-            for alpha, cutset in family:
-                fam_alphas.append(float(alpha))
-                fam_cuts.append(tuple(sorted(id_of[v] for v in cutset)))
-                fam_counts.append(int(count_of(cutset)) if cutset else 0)
-            walk_ids = tuple(sorted(id_of[v] for v in cut)) if cut else None
-            self.components.append(
-                ComponentArtifact(
-                    cid, labels, walk_ids, float(rho),
-                    int(count_of(cut)) if cut else 0, int(solves),
-                    fam_alphas, fam_cuts, fam_counts,
-                )
-            )
+            family = net.solve_breakpoints(0.0, float(dmax) / float(self.h))
+            self.components.append(_prefix_form(cid, labels, family, count_of))
 
     @classmethod
     def restore(
@@ -253,13 +266,13 @@ class Snapshot:
         num_edges: int,
         components: list[ComponentArtifact],
         env: Optional[dict] = None,
-        densest: Optional[DensestSubgraphResult] = None,
     ) -> "Snapshot":
         """Rebuild a snapshot from persisted artifacts -- no solving.
 
-        Used by :class:`repro.serve.store.SnapshotStore`: every stored
-        cut/count pair is complete, so a restored snapshot answers the
-        same queries with the same bits as the instance that was saved.
+        Used by :class:`repro.serve.store.SnapshotStore`: the stored
+        vertex orders and prefix size/count arrays are the whole family,
+        so a restored snapshot answers the same queries with the same
+        bits as the instance that was saved.
         """
         snap = cls.__new__(cls)
         snap.key = key
@@ -271,15 +284,10 @@ class Snapshot:
         snap.components = components
         snap.env = env if env is not None else {}
         snap.loaded = True
-        snap._densest = densest
+        snap._densest = None
         return snap
 
     # --- queries (all flow-free) ----------------------------------------
-
-    @property
-    def iterations(self) -> int:
-        """Max-flow solves the precompute's Newton walks spent."""
-        return sum(art.walk_solves for art in self.components)
 
     def matches(self, graph: Graph) -> bool:
         """Whether this snapshot was built from exactly ``graph``."""
@@ -289,13 +297,13 @@ class Snapshot:
         """The Ψ-densest subgraph -- the stored per-component merge.
 
         Bit-identical to :func:`repro.core.exact.exact_densest` (see
-        :meth:`_merge_walks`).  Zero flow solves.
+        :meth:`_merge`).  Zero flow solves, so ``iterations`` is 0.
         """
         budget = guard.ACTIVE
         if budget is not None:
             budget.tick_round("serve.query")
         if self._densest is None:
-            self._densest = self._merge_walks()
+            self._densest = self._merge()
         res = self._densest
         return DensestSubgraphResult(
             vertices=set(res.vertices),
@@ -305,32 +313,34 @@ class Snapshot:
             stats=dict(res.stats),
         )
 
-    def _merge_walks(self) -> DensestSubgraphResult:
-        """Merge the per-component walk cuts into the whole-graph answer.
+    def _merge(self) -> DensestSubgraphResult:
+        """Merge the per-component densest cuts into the whole-graph answer.
 
         Flow never crosses components, so the whole graph's minimal min
-        cut at the optimum is the union of the walk cuts of every
-        component tied at the maximum density: the densest component
-        wins and exact-float ties union.  Testing ties on floats is
-        sound because equal rationals round identically.  The density is
-        recomputed as the one division ``Σ counts / |union|``, the same
-        correctly-rounded float the cold whole-graph walk produces.
+        cut at the optimum is the union of the last non-empty cuts of
+        every component tied at the maximum density: the densest
+        component wins and exact-float ties union.  Testing ties on
+        floats is sound because equal rationals round identically.  The
+        density is recomputed as the one division ``Σ counts / |union|``,
+        the same correctly-rounded float the cold whole-graph walk
+        produces.
         """
-        iterations = 0
         maxrho = 0.0
         union: set[Vertex] = set()
         count = 0
         for art in self.components:
-            iterations += art.walk_solves
-            if not art.walk_cut:
+            i = art.densest()
+            if i < 0:
                 continue
-            if art.walk_rho > maxrho:
-                maxrho = art.walk_rho
-                union = art.cut_labels(art.walk_cut)
-                count = art.walk_count
-            elif art.walk_rho == maxrho:
-                union |= art.cut_labels(art.walk_cut)
-                count += art.walk_count
+            size, cut_count = art.fam_sizes[i], art.fam_counts[i]
+            rho = cut_count / size
+            if rho > maxrho:
+                maxrho = rho
+                union = set(art.labels[:size])
+                count = cut_count
+            elif rho == maxrho:
+                union.update(art.labels[:size])
+                count += cut_count
         if union:
             vertices, density = union, count / len(union)
         else:
@@ -341,7 +351,7 @@ class Snapshot:
             vertices=vertices,
             density=density,
             method="Exact",
-            iterations=iterations,
+            iterations=0,
             stats={
                 "snapshot": self.key,
                 "served": True,
@@ -367,11 +377,10 @@ class Snapshot:
         count = 0
         for art in self.components:
             i = art.lookup(alpha)
-            ids = art.fam_cuts[i]
-            if not ids:
-                continue
-            vertices |= art.cut_labels(ids)
-            count += art.fam_counts[i]
+            size = art.fam_sizes[i]
+            if size:
+                vertices.update(art.labels[:size])
+                count += art.fam_counts[i]
         density = count / len(vertices) if vertices else 0.0
         return DensityAnswer(alpha=alpha, vertices=vertices, density=density, count=count)
 
@@ -401,33 +410,28 @@ class Snapshot:
     def top_k(self, k: int) -> list[CutInfo]:
         """The ``k`` densest distinct stored cuts, densest first.
 
-        Candidates are every non-empty breakpoint cut plus each
-        component's walk cut (they form the nested dense-subgraph
-        family GGT discovered).  Deterministic order: density
-        descending, then size, component id and the id tuple.
+        Candidates are every non-empty breakpoint cut (they form the
+        nested dense-subgraph family GGT discovered).  A component's
+        distinct cuts differ in size, so ``(component, size)`` names
+        each one.  Deterministic order: density descending, then size
+        and component id.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
         budget = guard.ACTIVE
         if budget is not None:
             budget.tick_round("serve.query")
-        best: dict[tuple[int, tuple[int, ...]], float] = {}
-        for ai, art in enumerate(self.components):
-            candidates = list(zip(art.fam_cuts, art.fam_counts))
-            if art.walk_cut:
-                candidates.append((art.walk_cut, art.walk_count))
-            for ids, cnt in candidates:
-                if not ids:
-                    continue
-                best[(ai, ids)] = cnt / len(ids)
-        ranked = sorted(
-            best.items(), key=lambda kv: (-kv[1], len(kv[0][1]), kv[0][0], kv[0][1])
-        )
-        out = []
-        for (ai, ids), density in ranked[:k]:
-            art = self.components[ai]
-            out.append(CutInfo(frozenset(art.cut_labels(ids)), density, ai))
-        return out
+        density = {
+            (ai, size): count / size
+            for ai, art in enumerate(self.components)
+            for size, count in zip(art.fam_sizes, art.fam_counts)
+            if size
+        }
+        ranked = sorted(density, key=lambda cut: (-density[cut], cut[1], cut[0]))
+        return [
+            CutInfo(frozenset(self.components[ai].labels[:size]), density[ai, size], ai)
+            for ai, size in ranked[:k]
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -2,7 +2,7 @@
 
 One :class:`SnapshotStore` owns ``<root>/snapshots.sqlite`` in WAL mode
 (concurrent readers never block each other or a writer -- the shape the
-serving layer needs for many processes answering off one store).  Three
+serving layer needs for many processes answering off one store).  Two
 tables:
 
 ``snapshots``
@@ -10,14 +10,11 @@ tables:
     the flow layer was tuned to when the artifact was built, the global
     label list, the env fingerprint, byte size and LRU bookkeeping.
 ``components``
-    One row per connected component: the flat int64/float64 artifact
-    arrays (walk cut, breakpoint family) packed as little-endian blobs
-    via :mod:`array` -- loadable with or without numpy, byte-exact both
-    ways.
-``results``
-    The materialized densest-subgraph answer per snapshot, so the most
-    common query is one indexed row read even before the component
-    artifacts are touched.
+    One row per connected component in prefix form: its vertex labels,
+    innermost cut first, and the breakpoint family's ``fam_alphas`` /
+    ``fam_sizes`` / ``fam_counts`` arrays packed as little-endian
+    blobs via :mod:`array` -- loadable with or without numpy,
+    byte-exact both ways.
 
 The layout is versioned with SQLite's ``user_version``
 (:data:`SCHEMA_VERSION`): opening a file written under an older layout
@@ -47,15 +44,15 @@ from pathlib import Path
 from typing import Optional
 
 from .. import obs
-from ..core.exact import DensestSubgraphResult
 from ..flow.network import EPS
 from .snapshot import ComponentArtifact, Snapshot
 
 __all__ = ["SnapshotStore"]
 
 #: Layout version kept in ``PRAGMA user_version``; version 2 dropped the
-#: ``esrc``/``edst``/``inst_rows``/``nodes`` component columns.
-SCHEMA_VERSION = 2
+#: ``esrc``/``edst``/``inst_rows``/``nodes`` component columns, version 3
+#: stores each component in prefix form and has no ``results`` table.
+SCHEMA_VERSION = 3
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS snapshots (
@@ -66,7 +63,6 @@ CREATE TABLE IF NOT EXISTS snapshots (
     m INTEGER NOT NULL,
     labels TEXT NOT NULL,
     env TEXT NOT NULL,
-    iterations INTEGER NOT NULL,
     nbytes INTEGER NOT NULL,
     created_s REAL NOT NULL,
     last_used_s REAL NOT NULL
@@ -75,21 +71,10 @@ CREATE TABLE IF NOT EXISTS components (
     key TEXT NOT NULL,
     cid INTEGER NOT NULL,
     labels TEXT NOT NULL,
-    walk_cut BLOB,
-    walk_rho REAL NOT NULL,
-    walk_count INTEGER NOT NULL,
-    walk_solves INTEGER NOT NULL,
     fam_alphas BLOB NOT NULL,
+    fam_sizes BLOB NOT NULL,
     fam_counts BLOB NOT NULL,
-    fam_offsets BLOB NOT NULL,
-    fam_cutids BLOB NOT NULL,
     PRIMARY KEY (key, cid)
-);
-CREATE TABLE IF NOT EXISTS results (
-    key TEXT PRIMARY KEY,
-    density REAL NOT NULL,
-    vertices BLOB NOT NULL,
-    iterations INTEGER NOT NULL
 );
 """
 
@@ -99,10 +84,9 @@ def _pack_i(values) -> bytes:
     return array("q", [int(v) for v in values]).tobytes()
 
 
-def _unpack_i(blob: Optional[bytes]) -> list[int]:
+def _unpack_i(blob: bytes) -> list[int]:
     out = array("q")
-    if blob:
-        out.frombytes(blob)
+    out.frombytes(blob)
     return out.tolist()
 
 
@@ -111,10 +95,9 @@ def _pack_f(values) -> bytes:
     return array("d", [float(v) for v in values]).tobytes()
 
 
-def _unpack_f(blob: Optional[bytes]) -> list[float]:
+def _unpack_f(blob: bytes) -> list[float]:
     out = array("d")
-    if blob:
-        out.frombytes(blob)
+    out.frombytes(blob)
     return out.tolist()
 
 
@@ -154,61 +137,39 @@ class SnapshotStore:
     def save(self, snap: Snapshot) -> bool:
         """Persist ``snap`` (idempotent by key); returns success.
 
-        Materializes the densest-subgraph answer into ``results`` first,
-        so a later load can serve the headline query from one row.
-        Labels must be JSON-serializable; a snapshot whose labels are
-        not simply skips persistence (``False``) rather than failing the
-        request that built it.
+        Labels must survive a JSON round trip unchanged; a snapshot whose
+        labels do not (a tuple comes back as a list, which is not even
+        hashable) simply skips persistence (``False``) rather than
+        failing the request that built it, or the next load.
         """
         try:
             labels_json = json.dumps(snap.labels)
             comp_labels = [json.dumps(art.labels) for art in snap.components]
         except TypeError:
             return False
-        densest = snap.densest_subgraph()
-        id_of = {v: i for i, v in enumerate(snap.labels)}
-        result_ids = _pack_i(sorted(id_of[v] for v in densest.vertices))
+        if json.loads(labels_json) != snap.labels:
+            return False
         now = time.time()
         nbytes = 0
         comp_rows = []
         for art, labels in zip(snap.components, comp_labels):
-            offsets = [0]
-            cutids: list[int] = []
-            for ids in art.fam_cuts:
-                cutids.extend(ids)
-                offsets.append(len(cutids))
             blobs = (
-                _pack_i(art.walk_cut) if art.walk_cut is not None else None,
                 _pack_f(art.fam_alphas),
+                _pack_i(art.fam_sizes),
                 _pack_i(art.fam_counts),
-                _pack_i(offsets),
-                _pack_i(cutids),
             )
-            nbytes += sum(len(b) for b in blobs if b is not None) + len(labels)
-            comp_rows.append(
-                (
-                    snap.key, art.cid, labels, blobs[0], art.walk_rho,
-                    art.walk_count, art.walk_solves, blobs[1], blobs[2],
-                    blobs[3], blobs[4],
-                )
-            )
+            nbytes += sum(len(b) for b in blobs) + len(labels)
+            comp_rows.append((snap.key, art.cid, labels, *blobs))
         with self._conn:
             self._conn.execute("DELETE FROM components WHERE key = ?", (snap.key,))
             self._conn.executemany(
-                "INSERT INTO components VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                comp_rows,
+                "INSERT INTO components VALUES (?, ?, ?, ?, ?, ?)", comp_rows
             )
             self._conn.execute(
-                "INSERT OR REPLACE INTO results VALUES (?, ?, ?, ?)",
-                (snap.key, densest.density, result_ids, densest.iterations),
-            )
-            self._conn.execute(
-                "INSERT OR REPLACE INTO snapshots VALUES "
-                "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "INSERT OR REPLACE INTO snapshots VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     snap.key, snap.h, snap.eps, snap.n, snap.num_edges,
-                    labels_json, json.dumps(snap.env), densest.iterations,
-                    nbytes, now, now,
+                    labels_json, json.dumps(snap.env), nbytes, now, now,
                 ),
             )
         self._evict()
@@ -236,7 +197,6 @@ class SnapshotStore:
         with self._conn:
             self._conn.execute("DELETE FROM snapshots WHERE key = ?", (key,))
             self._conn.execute("DELETE FROM components WHERE key = ?", (key,))
-            self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
 
     # --- read ----------------------------------------------------------
 
@@ -259,59 +219,28 @@ class SnapshotStore:
         if eps != EPS:
             self.delete(key)
             return None
-        labels = json.loads(labels_json)
-        components = []
-        for crow in self._conn.execute(
-            "SELECT cid, labels, walk_cut, walk_rho, walk_count, walk_solves, "
-            "fam_alphas, fam_counts, fam_offsets, fam_cutids FROM components "
-            "WHERE key = ? ORDER BY cid",
-            (key,),
-        ):
-            offsets = _unpack_i(crow[8])
-            cutids = _unpack_i(crow[9])
-            fam_cuts = [
-                tuple(cutids[offsets[i] : offsets[i + 1]])
-                for i in range(len(offsets) - 1)
-            ]
-            components.append(
-                ComponentArtifact(
-                    cid=crow[0],
-                    labels=json.loads(crow[1]),
-                    walk_cut=tuple(_unpack_i(crow[2])) if crow[2] is not None else None,
-                    walk_rho=crow[3],
-                    walk_count=crow[4],
-                    walk_solves=crow[5],
-                    fam_alphas=_unpack_f(crow[6]),
-                    fam_counts=_unpack_i(crow[7]),
-                    fam_cuts=fam_cuts,
-                )
+        components = [
+            ComponentArtifact(
+                cid=cid,
+                labels=json.loads(comp_labels),
+                fam_alphas=_unpack_f(alphas),
+                fam_sizes=_unpack_i(sizes),
+                fam_counts=_unpack_i(counts),
             )
-        densest = None
-        rrow = self._conn.execute(
-            "SELECT density, vertices, iterations FROM results WHERE key = ?", (key,)
-        ).fetchone()
-        if rrow is not None:
-            densest = DensestSubgraphResult(
-                vertices={labels[i] for i in _unpack_i(rrow[1])},
-                density=rrow[0],
-                method="Exact",
-                iterations=rrow[2],
-                stats={
-                    "snapshot": key,
-                    "served": True,
-                    "flow_solves": 0,
-                    "components": len(components),
-                },
+            for cid, comp_labels, alphas, sizes, counts in self._conn.execute(
+                "SELECT cid, labels, fam_alphas, fam_sizes, fam_counts FROM components "
+                "WHERE key = ? ORDER BY cid",
+                (key,),
             )
+        ]
         snap = Snapshot.restore(
             key=key,
             h=h,
             eps=eps,
-            labels=labels,
+            labels=json.loads(labels_json),
             num_edges=num_edges,
             components=components,
             env=json.loads(env_json),
-            densest=densest,
         )
         with self._conn:
             self._conn.execute(

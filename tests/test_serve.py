@@ -12,8 +12,9 @@ multi-component random graphs pins it:
 * ``query_density(α)`` at segment midpoints equals a cold parametric
   ``net.solve(α)`` per component (the right-continuity convention);
 * a snapshot reloaded from the SQLite store -- in-process or from a
-  fresh interpreter -- serves the same bits it was saved with, and an
-  EPS-mismatched row is evicted, not served;
+  fresh interpreter -- serves the same bits it was saved with, an
+  EPS-mismatched row is evicted, not served, a file of an older layout
+  is rebuilt, and labels that JSON does not round-trip are not stored;
 * both LRU tiers (store byte cap, memory entry cap) evict and count;
 * an expired build deadline degrades the batch through the api's
   fallback machinery instead of failing;
@@ -197,6 +198,25 @@ def test_degenerate_graphs_serve_like_the_cold_path():
     assert snap.top_k(3) == []
 
 
+def test_precompute_rejects_a_family_that_is_not_nested(monkeypatch):
+    """Only nested cuts fold into one vertex order: a family whose later
+    cut leaves the one before it makes the build raise instead of
+    storing prefixes that are not its cuts."""
+    from repro.flow.parametric import ParametricNetwork
+
+    def crossed(self, alpha_lo, alpha_hi, tol=1e-9):
+        labels = self.vertex_labels
+        return [
+            (alpha_lo, set(labels[:2])),
+            (alpha_hi / 2, set(labels[1:3])),
+            (alpha_hi, set()),
+        ]
+
+    monkeypatch.setattr(ParametricNetwork, "solve_breakpoints", crossed)
+    with pytest.raises(RuntimeError, match="not inside the cut before it"):
+        Snapshot(_graph(0), 2)
+
+
 def test_query_density_rejects_bad_alphas():
     snap = Snapshot(_graph(0), 2)
     for bad in (-1.0, float("nan"), float("inf")):
@@ -361,38 +381,117 @@ CREATE TABLE results (
 );
 """
 
+#: Version 2: the Newton walk's cut and one id tuple per breakpoint cut
+#: (``fam_offsets``/``fam_cutids``) per component, and a ``results``
+#: table with the densest subgraph.
+_V2_SCHEMA = """
+CREATE TABLE snapshots (
+    key TEXT PRIMARY KEY,
+    h INTEGER NOT NULL,
+    eps REAL NOT NULL,
+    n INTEGER NOT NULL,
+    m INTEGER NOT NULL,
+    labels TEXT NOT NULL,
+    env TEXT NOT NULL,
+    iterations INTEGER NOT NULL,
+    nbytes INTEGER NOT NULL,
+    created_s REAL NOT NULL,
+    last_used_s REAL NOT NULL
+);
+CREATE TABLE components (
+    key TEXT NOT NULL,
+    cid INTEGER NOT NULL,
+    labels TEXT NOT NULL,
+    walk_cut BLOB,
+    walk_rho REAL NOT NULL,
+    walk_count INTEGER NOT NULL,
+    walk_solves INTEGER NOT NULL,
+    fam_alphas BLOB NOT NULL,
+    fam_counts BLOB NOT NULL,
+    fam_offsets BLOB NOT NULL,
+    fam_cutids BLOB NOT NULL,
+    PRIMARY KEY (key, cid)
+);
+CREATE TABLE results (
+    key TEXT PRIMARY KEY,
+    density REAL NOT NULL,
+    vertices BLOB NOT NULL,
+    iterations INTEGER NOT NULL
+);
+PRAGMA user_version = 2;
+"""
+
+#: Each older layout with one row in every table.
+_OLDER_LAYOUTS = (
+    (
+        _V1_SCHEMA,
+        "INSERT INTO snapshots VALUES ('old', 2, 1e-9, 0, 0, '[]', '{}', 0, 0, 0.0, 0.0);"
+        "INSERT INTO components VALUES "
+        "('old', 0, '[]', x'', x'', x'', 0, NULL, 0.0, 0, 0, x'', x'', x'', x'');"
+        "INSERT INTO results VALUES ('old', 0.0, x'', 0);",
+    ),
+    (
+        _V2_SCHEMA,
+        "INSERT INTO snapshots VALUES ('old', 2, 1e-9, 0, 0, '[]', '{}', 0, 0, 0.0, 0.0);"
+        "INSERT INTO components VALUES "
+        "('old', 0, '[]', NULL, 0.0, 0, 0, x'', x'', x'', x'');"
+        "INSERT INTO results VALUES ('old', 0.0, x'', 0);",
+    ),
+)
+
 
 def test_store_rebuilds_a_file_of_the_older_layout(tmp_path):
-    """A store file of the older layout (unversioned, NOT NULL columns
-    the current insert does not fill) is rebuilt on open: a save and a
-    load then work and serve the same answers."""
+    """A store file of an older layout (unversioned or version 2, NOT
+    NULL columns the current insert does not fill) is rebuilt on open:
+    a save and a load then work and serve the same answers."""
     import sqlite3
 
-    conn = sqlite3.connect(str(tmp_path / "snapshots.sqlite"))
-    conn.executescript(_V1_SCHEMA)
-    conn.execute(
-        "INSERT INTO snapshots VALUES ('old', 2, 1e-9, 0, 0, '[]', '{}', 0, 0, 0.0, 0.0)"
-    )
-    conn.execute(
-        "INSERT INTO components VALUES "
-        "('old', 0, '[]', x'', x'', x'', 0, NULL, 0.0, 0, 0, x'', x'', x'', x'')"
-    )
-    conn.commit()
-    conn.close()
     g, h = _graph(5), _h(5)
     snap = Snapshot(g, h)
+    for version, (schema, rows) in enumerate(_OLDER_LAYOUTS, start=1):
+        root = tmp_path / f"v{version}"
+        root.mkdir()
+        conn = sqlite3.connect(str(root / "snapshots.sqlite"))
+        conn.executescript(schema + rows)
+        conn.commit()
+        conn.close()
+        store = SnapshotStore(root)
+        assert store.save(snap), version
+        store.close()
+        reopened = SnapshotStore(root)
+        assert reopened.keys() == [snap.key], version
+        loaded = reopened.load(snap.key)
+        want, got = snap.densest_subgraph(), loaded.densest_subgraph()
+        assert (got.vertices, got.density) == (want.vertices, want.density), version
+        for alpha in _midpoints(snap):
+            a, b = snap.query_density(alpha), loaded.query_density(alpha)
+            assert (a.vertices, a.density, a.count) == (b.vertices, b.density, b.count)
+        tables = {name for (name,) in reopened._conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )}
+        assert tables == {"snapshots", "components"}, version
+        reopened.close()
+
+
+def test_store_skips_labels_that_json_does_not_round_trip(tmp_path):
+    """Tuple labels come back from JSON as lists, which are not even
+    hashable: such a snapshot is not saved, and a cache with a store
+    rebuilds it after a restart instead of raising."""
+    g = Graph([((0, 0), (0, 1)), ((0, 1), (1, 1)), ((0, 0), (1, 1)), ((1, 1), (2, 2))])
+    snap = Snapshot(g, 2)
     store = SnapshotStore(tmp_path)
-    assert store.save(snap)
+    assert not store.save(snap)
+    assert store.keys() == []
+    cache = ArtifactCache(store=store)
+    first = cache.get(g, 2)
+    cache.clear()  # the in-memory tier is gone after a restart
+    again = cache.get(g, 2)
+    assert not again.loaded and cache.misses == 2 and cache.loads == 0
+    cold = api.densest_subgraph(g, 2, method="exact")
+    for built in (first, again):
+        got = built.densest_subgraph()
+        assert (got.vertices, got.density) == (cold.vertices, cold.density)
     store.close()
-    reopened = SnapshotStore(tmp_path)
-    assert reopened.keys() == [snap.key]
-    loaded = reopened.load(snap.key)
-    want, got = snap.densest_subgraph(), loaded.densest_subgraph()
-    assert (got.vertices, got.density) == (want.vertices, want.density)
-    for alpha in _midpoints(snap):
-        a, b = snap.query_density(alpha), loaded.query_density(alpha)
-        assert (a.vertices, a.density, a.count) == (b.vertices, b.density, b.count)
-    reopened.close()
 
 
 def test_store_lru_respects_the_byte_cap(tmp_path):

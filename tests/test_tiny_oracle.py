@@ -14,7 +14,7 @@ a float tolerance.
 
 The same tables check the exact solvers, the query variant and, on the
 graphs of at most six vertices, every min cut of the α-parametric flow
-networks.
+networks and the answers of a serving snapshot.
 """
 
 import itertools
@@ -46,6 +46,7 @@ from repro.flow.builders import build_cds_parametric, build_eds_parametric, buil
 from repro.graph.graph import Graph
 from repro.patterns.isomorphism import enumerate_pattern_instances
 from repro.patterns.pattern import get_pattern, pattern_names
+from repro.serve import Snapshot
 
 
 @pytest.fixture(scope="module")
@@ -391,3 +392,39 @@ def test_parametric_cuts_against_every_subset(oracles):
         obs.disable()
         obs.reset()
     assert set(modes) == {"cold", "advance", "retreat", "noop"}, modes
+
+
+@pytest.mark.parametrize("h", [2, 3, 4])
+def test_snapshot_against_every_subset(oracles, h):
+    """A snapshot's stored family on every atlas graph with at most six
+    vertices: ``query_density(α)`` is the inclusion-minimal maximiser of
+    μ(S) − α|S| with its exact count, at α = 0, at each midpoint between
+    consecutive subset densities (breakpoint abscissae are float
+    crossings, so they are not probed) and above the largest density;
+    the densest subgraph is the maximal one and ``top_k(1)`` has
+    density ρ*."""
+    for i, (graph, (count, (best, best_size), _, densest)) in enumerate(oracles(h)):
+        if graph.num_vertices > 6:
+            continue
+        snap = Snapshot(graph, h)
+        densities = sorted({Fraction(count[s], SIZE[s]) for s in range(1, len(count))})
+        probes = [Fraction(0)] + [(a + b) / 2 for a, b in zip(densities, densities[1:])]
+        for alpha in probes + [densities[-1] + 1]:
+            p, q = alpha.numerator, alpha.denominator
+            gain = [count[s] * q - p * SIZE[s] for s in range(len(count))]
+            top = max(gain)
+            minimal = -1
+            for s, value in enumerate(gain):
+                if value == top:
+                    minimal &= s
+            answer = snap.query_density(float(alpha))
+            assert _mask(answer.vertices) == minimal, (i, alpha)
+            assert answer.count == count[minimal], (i, alpha)
+        result = snap.densest_subgraph()
+        assert _mask(result.vertices) == densest, i
+        assert result.density == count[densest] / SIZE[densest], i
+        ranked = snap.top_k(1)
+        if best:
+            assert [cut.density for cut in ranked] == [best / best_size], i
+        else:
+            assert ranked == [], i
