@@ -13,8 +13,8 @@ asserts both on every cell while measuring what the snapshot buys.
 Per Figure-8 small-dataset cell (h in {2, 3}):
 
 * ``cold_s`` -- one full exact solve (enumeration + parametric flow);
-* ``precompute_s`` -- building the snapshot (one breakpoint sweep per
-  component);
+* ``precompute_s`` -- building the snapshot (per component one
+  breakpoint sweep and one certifying Newton solve);
 * ``warm_s`` -- a served ``densest_subgraph()`` off the snapshot;
 * ``load_s`` / ``reload_warm_s`` -- restoring from the SQLite store on
   a fresh connection (the restart path) and querying the restored

@@ -144,12 +144,45 @@ class ComponentArtifact:
         For α just below the optimum ρ*, the minimal maximiser of
         μ(S) − α|S| is the union of all densest sets, so this cut is the
         component's maximal densest subgraph -- the cut the Newton walk
-        of :func:`repro.core.exact.exact_densest` ends on.
+        of :func:`repro.core.exact.exact_densest` ends on (the
+        precompute certifies it, see :func:`_certify_top`).
         """
-        i = len(self.fam_sizes) - 1
-        while i >= 0 and not self.fam_sizes[i]:
-            i -= 1
-        return i
+        return _last_nonempty(self.fam_sizes)
+
+
+def _last_nonempty(sizes) -> int:
+    i = len(sizes) - 1
+    while i >= 0 and not sizes[i]:
+        i -= 1
+    return i
+
+
+def _certify_top(net, family: list, count_of) -> list:
+    """``family`` with its last non-empty cut certified densest.
+
+    ``solve_breakpoints`` takes two cuts as adjacent when the probe
+    between them lowers the cut value by at most a tolerance relative
+    to that value, which is about m·n on Goldberg's network, so on a
+    large component it can go from a cut ``S`` straight to the empty
+    cut, past a denser ``D ⊂ S``.  The Newton walk from ρ(S) compares
+    exact densities instead: one solve when ``S`` is densest, else it
+    ends on the maximal densest subgraph ``D``, which is spliced in
+    between ``S`` and the empty cut at the exact crossings of their
+    lines.
+    """
+    i = _last_nonempty([len(cut) for _, cut in family])
+    if i < 0:
+        return family
+    alpha_s, cut_s = family[i]
+    count_s = count_of(cut_s)
+    rho_s = count_s / len(cut_s)
+    cut_d, rho_d, _ = net.max_density(lambda s: count_of(s) / len(s), low=rho_s)
+    if cut_d is None or rho_d <= rho_s:
+        return family
+    # the one α where μ(S) − α|S| = μ(D) − α|D|; above alpha_s exactly,
+    # the max only guards its rounding
+    cross = (count_s - count_of(cut_d)) / (len(cut_s) - len(cut_d))
+    return family[: i + 1] + [(max(cross, alpha_s), cut_d), (rho_d, set())]
 
 
 def _prefix_form(cid: int, labels: list, family, count_of) -> ComponentArtifact:
@@ -184,16 +217,17 @@ def _prefix_form(cid: int, labels: list, family, count_of) -> ComponentArtifact:
 class Snapshot:
     """Immutable query artifact for one ``(graph, h)`` pair.
 
-    Building one runs the full exact precompute (clique enumeration and
-    one breakpoint sweep per component -- every flow solve ticks the
-    active :class:`repro.guard.Budget`, so a deadline degrades the
-    *build*, never a warm query).  Every method after that is
+    Building one runs the full exact precompute (clique enumeration,
+    then per component one breakpoint sweep and the Newton solve that
+    certifies its densest cut -- every flow solve ticks the active
+    :class:`repro.guard.Budget`, so a deadline degrades the *build*,
+    never a warm query).  Every method after that is
     flow-free.  Instances are restored from the persistence tier via
     :meth:`restore` without re-running anything.
     """
 
     __slots__ = (
-        "key", "h", "eps", "n", "num_edges", "labels", "components",
+        "key", "h", "eps", "n", "num_edges", "components",
         "env", "loaded", "_densest",
     )
 
@@ -210,7 +244,6 @@ class Snapshot:
         self.h = h
         self.eps = EPS
         self.key = key if key is not None else snapshot_key(graph, h)
-        self.labels = list(graph)
         self.n = graph.num_vertices
         self.num_edges = graph.num_edges
         self.components: list[ComponentArtifact] = []
@@ -253,6 +286,7 @@ class Snapshot:
             # the family on [0, dmax/h] covers the whole α axis: beyond
             # its last breakpoint the cut is empty forever
             family = net.solve_breakpoints(0.0, float(dmax) / float(self.h))
+            family = _certify_top(net, family, count_of)
             self.components.append(_prefix_form(cid, labels, family, count_of))
 
     @classmethod
@@ -262,7 +296,6 @@ class Snapshot:
         key: str,
         h: int,
         eps: float,
-        labels: list,
         num_edges: int,
         components: list[ComponentArtifact],
         env: Optional[dict] = None,
@@ -278,8 +311,7 @@ class Snapshot:
         snap.key = key
         snap.h = h
         snap.eps = eps
-        snap.labels = list(labels)
-        snap.n = len(snap.labels)
+        snap.n = sum(len(art.labels) for art in components)
         snap.num_edges = num_edges
         snap.components = components
         snap.env = env if env is not None else {}
@@ -346,7 +378,8 @@ class Snapshot:
         else:
             # no component holds a Ψ instance: degenerate optimum, the
             # whole vertex set at density 0 (matches exact_densest)
-            vertices, density = set(self.labels), 0.0
+            vertices = {v for art in self.components for v in art.labels}
+            density = 0.0
         return DensestSubgraphResult(
             vertices=vertices,
             density=density,

@@ -7,14 +7,15 @@ tables:
 
 ``snapshots``
     One row per stored snapshot: the content-hash key, ``h``, the EPS
-    the flow layer was tuned to when the artifact was built, the global
-    label list, the env fingerprint, byte size and LRU bookkeeping.
+    the flow layer was tuned to when the artifact was built, the edge
+    count, the env fingerprint, byte size and LRU bookkeeping.
 ``components``
     One row per connected component in prefix form: its vertex labels,
-    innermost cut first, and the breakpoint family's ``fam_alphas`` /
-    ``fam_sizes`` / ``fam_counts`` arrays packed as little-endian
-    blobs via :mod:`array` -- loadable with or without numpy,
-    byte-exact both ways.
+    innermost cut first (the rows together hold every label once), and
+    the breakpoint family's ``fam_alphas`` / ``fam_sizes`` /
+    ``fam_counts`` arrays packed as little-endian blobs via
+    :mod:`array` -- loadable with or without numpy, byte-exact both
+    ways.
 
 The layout is versioned with SQLite's ``user_version``
 (:data:`SCHEMA_VERSION`): opening a file written under an older layout
@@ -51,7 +52,8 @@ __all__ = ["SnapshotStore"]
 
 #: Layout version kept in ``PRAGMA user_version``; version 2 dropped the
 #: ``esrc``/``edst``/``inst_rows``/``nodes`` component columns, version 3
-#: stores each component in prefix form and has no ``results`` table.
+#: stores each component in prefix form, has no ``results`` table and
+#: keeps the vertex labels in the component rows only.
 SCHEMA_VERSION = 3
 
 _SCHEMA = """
@@ -59,9 +61,7 @@ CREATE TABLE IF NOT EXISTS snapshots (
     key TEXT PRIMARY KEY,
     h INTEGER NOT NULL,
     eps REAL NOT NULL,
-    n INTEGER NOT NULL,
     m INTEGER NOT NULL,
-    labels TEXT NOT NULL,
     env TEXT NOT NULL,
     nbytes INTEGER NOT NULL,
     created_s REAL NOT NULL,
@@ -143,11 +143,13 @@ class SnapshotStore:
         failing the request that built it, or the next load.
         """
         try:
-            labels_json = json.dumps(snap.labels)
             comp_labels = [json.dumps(art.labels) for art in snap.components]
         except TypeError:
             return False
-        if json.loads(labels_json) != snap.labels:
+        if any(
+            json.loads(labels) != art.labels
+            for art, labels in zip(snap.components, comp_labels)
+        ):
             return False
         now = time.time()
         nbytes = 0
@@ -166,10 +168,10 @@ class SnapshotStore:
                 "INSERT INTO components VALUES (?, ?, ?, ?, ?, ?)", comp_rows
             )
             self._conn.execute(
-                "INSERT OR REPLACE INTO snapshots VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "INSERT OR REPLACE INTO snapshots VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 (
-                    snap.key, snap.h, snap.eps, snap.n, snap.num_edges,
-                    labels_json, json.dumps(snap.env), nbytes, now, now,
+                    snap.key, snap.h, snap.eps, snap.num_edges,
+                    json.dumps(snap.env), nbytes, now, now,
                 ),
             )
         self._evict()
@@ -210,12 +212,12 @@ class SnapshotStore:
         """
         t0 = time.perf_counter()
         row = self._conn.execute(
-            "SELECT h, eps, n, m, labels, env, nbytes FROM snapshots WHERE key = ?",
+            "SELECT h, eps, m, env, nbytes FROM snapshots WHERE key = ?",
             (key,),
         ).fetchone()
         if row is None:
             return None
-        h, eps, _n, num_edges, labels_json, env_json, nbytes = row
+        h, eps, num_edges, env_json, nbytes = row
         if eps != EPS:
             self.delete(key)
             return None
@@ -237,7 +239,6 @@ class SnapshotStore:
             key=key,
             h=h,
             eps=eps,
-            labels=json.loads(labels_json),
             num_edges=num_edges,
             components=components,
             env=json.loads(env_json),

@@ -12,7 +12,7 @@ component loop against the whole-graph paths:
 * the whole-graph Exact walk is the merge of the per-component walks --
   the densest component wins, exact-float ties union, and the density
   is the one division ``Σ counts / |union|`` -- the argument
-  :meth:`repro.serve.Snapshot._merge_walks` rests on;
+  :meth:`repro.serve.Snapshot._merge` rests on;
 * the call-level clique index sliced per component equals a fresh index
   of that component, and the slices partition the instances;
 * a solve budget is charged for the walks of every component, and an

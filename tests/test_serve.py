@@ -11,6 +11,8 @@ multi-component random graphs pins it:
   stays at zero across densest / α / profile / top-k lookups;
 * ``query_density(α)`` at segment midpoints equals a cold parametric
   ``net.solve(α)`` per component (the right-continuity convention);
+* the densest cut is served even where the breakpoint sweep's
+  tolerance merges it away (the precompute's certifying walk);
 * a snapshot reloaded from the SQLite store -- in-process or from a
   fresh interpreter -- serves the same bits it was saved with, an
   EPS-mismatched row is evicted, not served, a file of an older layout
@@ -217,6 +219,58 @@ def test_precompute_rejects_a_family_that_is_not_nested(monkeypatch):
         Snapshot(_graph(0), 2)
 
 
+def test_precompute_certifies_the_densest_cut_a_merged_family_skips(monkeypatch):
+    """``solve_breakpoints`` merges breakpoints whose probe lies within a
+    tolerance relative to the cut values (about m·n), so on a large
+    component its family can go from a cut straight to the empty cut
+    past the densest subgraph.  A coarse tolerance forces that merge on
+    K5 with a pendant path: the precompute's walk must splice K5 back,
+    giving the family the exact sweep finds."""
+    from repro.flow.parametric import ParametricNetwork
+
+    g = Graph([(u, v) for u in range(5) for v in range(u + 1, 5)] + [(4, 5), (5, 6), (6, 7)])
+    want = Snapshot(g, 2).components[0]
+    sweep = ParametricNetwork.solve_breakpoints
+
+    def coarse(self, alpha_lo, alpha_hi, tol=1e-9):
+        return sweep(self, alpha_lo, alpha_hi, tol=1.0)
+
+    merged = coarse(build_eds_parametric(g), 0.0, 2.5)
+    assert [len(cut) for _, cut in merged] == [8, 0]  # K5 is not in it
+    monkeypatch.setattr(ParametricNetwork, "solve_breakpoints", coarse)
+    snap = Snapshot(g, 2)
+    got = snap.components[0]
+    assert (got.labels, got.fam_alphas, got.fam_sizes, got.fam_counts) == (
+        want.labels, want.fam_alphas, want.fam_sizes, want.fam_counts
+    )
+    densest = snap.densest_subgraph()
+    assert (densest.vertices, densest.density) == (set(range(5)), 2.0)
+    assert snap.top_k(1)[0].vertices == frozenset(range(5))
+
+
+def test_snapshot_serves_k10_past_a_merged_breakpoint():
+    """The same merge at the real tolerance: K10, a vertex joined to four
+    of its vertices, and a 40,200-vertex two-level tree hanging off that
+    vertex.  Cut values are about m·n = 1.6e9, so the tolerance (about
+    1.6) exceeds the 0.91 by which K10 lowers the cut value at 49/11,
+    and the sweep goes from the 11-vertex cut straight to the empty
+    cut.  The snapshot still serves K10 at 4.5, as the cold walk does,
+    and stores the cut on [4, 4.5)."""
+    edges = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+    edges += [(10, v) for v in range(4)]
+    for hub in range(11, 211):
+        edges.append((10, hub))
+        edges += [(hub, leaf) for leaf in range(200 * hub, 200 * hub + 200)]
+    g = Graph(edges)
+    snap = Snapshot(g, 2)
+    cold = api.densest_subgraph(g, 2, method="exact")
+    warm = snap.densest_subgraph()
+    assert (warm.vertices, warm.density) == (cold.vertices, cold.density)
+    assert (warm.vertices, warm.density) == (set(range(10)), 4.5)
+    assert [(len(cut.vertices), cut.density) for cut in snap.top_k(2)] == [(10, 4.5), (11, 49 / 11)]
+    assert snap.query_density(4.2).vertices == set(range(10))
+
+
 def test_query_density_rejects_bad_alphas():
     snap = Snapshot(_graph(0), 2)
     for bad in (-1.0, float("nan"), float("inf")):
@@ -284,7 +338,8 @@ def test_store_roundtrip_reproduces_every_query(tmp_path):
     loaded = reopened.load(snap.key)
     assert loaded is not None and loaded.loaded
     assert loaded.key == snap.key and loaded.h == h
-    assert loaded.labels == snap.labels
+    assert loaded.n == snap.n
+    assert [a.labels for a in loaded.components] == [a.labels for a in snap.components]
     want = snap.densest_subgraph()
     got = loaded.densest_subgraph()
     assert got.vertices == want.vertices
