@@ -27,14 +27,11 @@ reference-enumerator index ("old enumeration") is bit-identical to the
 kernel-fed run -- the ablation is only meaningful if results are
 unchanged.
 
-The **accel-backend ablation** times the walk's flow phase per dispatch
-tier of :mod:`repro.accel` (numba / numpy / python) on full-graph
-parametric networks and writes it -- together with the cells and the
-per-cell backend -- to the machine-readable
-``benchmarks/out/BENCH_flow.json``.  With numba actually jitted the
-bench asserts a >= 3x flow-phase speedup over the numpy tier on at
-least one non-trivial cell; cuts and densities must be identical on
-every tier regardless.
+The **accel-backend ablation** times the walk's flow phase per tier of
+:mod:`repro.accel` (numpy / python) on full-graph parametric networks
+and writes it -- together with the cells and the per-cell backend -- to
+the machine-readable ``benchmarks/out/BENCH_flow.json``.  Cuts and
+densities must be identical on both tiers.
 """
 
 import json
@@ -52,15 +49,6 @@ from repro.experiments.harness import env_fingerprint, timed
 from repro.flow.builders import build_cds_parametric, build_eds_parametric
 
 OUT_DIR = Path(__file__).parent / "out"
-
-#: Flow-phase wall-clock (numpy tier) below which a backend cell is too
-#: fast to time reliably; the numba >= 3x claim is only asserted on
-#: cells above it.
-TIER_ASSERT_MIN_SECONDS = 0.005
-
-#: Required numba-vs-numpy flow-phase speedup on at least one
-#: non-trivial cell (the PR's headline acceptance criterion).
-NUMBA_MIN_SPEEDUP = 3.0
 
 #: Cells at or above this many instances take milliseconds to
 #: enumerate, so the numpy-vs-python ratio is timing-noise-robust and
@@ -127,11 +115,6 @@ def _cells(bench_scale):
                     "algorithm": algorithm,
                     "h": h,
                     "backend": accel.TIER,
-                    # explicit comparability keys: every cell says which
-                    # tier actually ran it, so cross-machine JSONs are
-                    # never silently compared numba-vs-interpreter
-                    "active_tier": accel.TIER,
-                    "numba_available": accel.NUMBA_JITTED,
                     "ggt_s": seconds,
                     # max-flow solves of the walk, one per breakpoint hop
                     "solves_ggt": result.iterations,
@@ -198,7 +181,7 @@ def _flow_tier_cells(bench_scale):
     Per cell: build the full-graph parametric network (untimed, it is
     interpreter work on every tier), run the Newton/GGT breakpoint walk
     (timed, best of 2) -- the saturating probe solve plus the warm hops,
-    i.e. exactly the compiled hot loops.  Every tier must return the
+    i.e. exactly the accel hot loops.  Both tiers must return the
     identical cut and density; wall times land in BENCH_flow.json.
     """
     tiers = accel.available_tiers()
@@ -254,10 +237,6 @@ def _flow_tier_cells(bench_scale):
                         }
                     cell["trace"][tier] = obs.summary()["flow"]
                     obs.disable()
-                if "numba" in cell["flow_solve"] and "numpy" in cell["flow_solve"]:
-                    cell["speedup_numba_vs_numpy"] = cell["flow_solve"]["numpy"] / max(
-                        cell["flow_solve"]["numba"], 1e-9
-                    )
                 cells.append(cell)
     finally:
         accel.select_tier(None)
@@ -339,35 +318,11 @@ def test_flow_reuse_ablation(benchmark, emit, bench_scale):
     tier_totals = {
         tier: sum(c["flow_solve"][tier] for c in tier_cells) for tier in tiers
     }
-    # The >= 3x jit claim only holds where numba actually compiled; an
-    # explicit skip record keeps interpreter-only JSONs from reading as
-    # "numba passed" (they never ran the assert at all).
-    if accel.NUMBA_JITTED:
-        eligible = [
-            c for c in tier_cells
-            if c["flow_solve"].get("numpy", 0.0) >= TIER_ASSERT_MIN_SECONDS
-        ]
-        numba_assert = {
-            "asserted": True,
-            "min_speedup": NUMBA_MIN_SPEEDUP,
-            "eligible_cells": len(eligible),
-            "best_speedup": max(
-                (c["speedup_numba_vs_numpy"] for c in eligible), default=0.0
-            ),
-        }
-    else:
-        numba_assert = {
-            "asserted": False,
-            "skip_reason": "numba tier not jitted in this environment",
-        }
     flow_payload = {
         "bench_scale": bench_scale,
         "env": env_fingerprint(),
         "backend_default": accel.TIER,
-        "numba_jitted": accel.NUMBA_JITTED,
-        "numba_speedup_assert": numba_assert,
         "tiers": list(tiers),
-        "kernel_tiers": accel.kernel_tiers(),
         "exact_cells": rows,
         "flow_tier_cells": tier_cells,
         "aggregates": {
@@ -388,39 +343,12 @@ def test_flow_reuse_ablation(benchmark, emit, bench_scale):
                 "h": c["h"],
                 "solves": c["solves"],
                 **{f"{tier}_s": c["flow_solve"][tier] for tier in tiers},
-                **(
-                    {"numba_speedup": c["speedup_numba_vs_numpy"]}
-                    if "speedup_numba_vs_numpy" in c
-                    else {}
-                ),
             }
             for c in tier_cells
         ],
         "Flow-phase wall time per accel backend tier (GGT walk, full-graph "
-        f"networks; default backend: {accel.TIER}"
-        + (
-            ", numba jitted"
-            if accel.NUMBA_JITTED
-            else f", numba unavailable -- >= {NUMBA_MIN_SPEEDUP:g}x jit assert SKIPPED"
-        )
-        + ")",
+        f"networks; default backend: {accel.TIER})",
     )
-
-    # the compiled tier's headline: with numba actually jitted, the flow
-    # phase of at least one non-trivial cell runs >= 3x faster than the
-    # numpy tier (the BFS/DFS loops leave the interpreter)
-    if accel.NUMBA_JITTED:
-        assert numba_assert["eligible_cells"], (
-            "no cell large enough to assert the numba speedup"
-        )
-        assert numba_assert["best_speedup"] >= NUMBA_MIN_SPEEDUP, [
-            (c["dataset"], c["h"], c["speedup_numba_vs_numpy"]) for c in eligible
-        ]
-    else:
-        print(
-            f"\n[numba >= {NUMBA_MIN_SPEEDUP:g}x flow-phase assert SKIPPED: "
-            "numba tier not jitted in this environment]"
-        )
 
     graph = load("Yeast", bench_scale)
     result = benchmark(core_exact_densest, graph, 2)

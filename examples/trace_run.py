@@ -30,8 +30,8 @@ def main() -> None:
           f"via {result.method}\n")
 
     env = summary["env"]
-    print(f"environment: python {env['python']}, tier={env['active_tier']}, "
-          f"numba_available={env['numba_available']}")
+    print(f"environment: python {env['python']}, numpy={env['numpy']}, "
+          f"tier={env['active_tier']}")
 
     print("\nphase rollup (nested spans):")
     for name, agg in sorted(summary["spans"].items()):

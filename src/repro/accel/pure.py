@@ -1,24 +1,23 @@
 """Pure-python hot-loop kernels -- the portable baseline tier.
 
-Every kernel in the registry (:mod:`repro.accel`) has its reference
-implementation here, written over the flat arc / incidence arrays as
-plain Python lists.  The higher tiers are literal translations of these
-loops (:mod:`repro.accel.kernels`, and the array-expression GGT advance
-in :mod:`repro.accel.vector`) or reuse them (the numpy Dinic runs
-:func:`dinic_blocking_flow` on each phase's shortest-path arcs, after
-batched rounds on a large phase) -- same traversal order, same
-float-operation order, same EPS discipline -- so residual capacities,
-flow values, cuts, peel orders and densities are *bit-identical* across
-tiers wherever these loops push the flow (the dispatch property suite
-pins this; the numpy tier's rounds reach another maximum flow with the
-same minimal min cut).
+Every kernel of :mod:`repro.accel` has its reference implementation
+here, written over the flat arc / incidence arrays as plain Python
+lists.  The numpy tier (:mod:`repro.accel.vector`) runs the GGT advance
+as an array expression with the same float-operation order, reuses
+:func:`dinic_blocking_flow` on each phase's shortest-path arcs (after
+batched rounds on a large phase), and runs the other loops here as they
+are -- so residual capacities, flow values, cuts, peel orders and
+densities are *bit-identical* across tiers wherever these loops push
+the flow (the dispatch property suite pins this; the numpy tier's
+rounds reach another maximum flow with the same minimal min cut).
 
 Keep that in mind when editing: any reordering of arithmetic or
-traversal here must be mirrored in :mod:`repro.accel.kernels`, and vice
-versa.
+traversal here must be mirrored in :mod:`repro.accel.vector`.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from ..flow.network import EPS
 
@@ -117,7 +116,7 @@ def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
     (:mod:`repro.obs`), identical across accel tiers wherever every tier
     executes the same traversal (the numpy tier's batched rounds push
     paths the DFS then does not count).  The :mod:`repro.accel`
-    dispatcher strips them; engine callers still see a plain float.
+    functions strip them; engine callers still see a plain float.
     """
     n = len(adj_start) - 1
     total = 0.0
@@ -198,7 +197,7 @@ def ggt_retreat(
     recomputed.  Mutates ``cap`` in place; the state on exit is a
     feasible warm flow at the new alpha.  Returns ``(clamped,
     drain_paths)`` -- the telemetry work counters (tier-identical); the
-    :mod:`repro.accel` dispatcher strips them.
+    :mod:`repro.accel` functions strip them.
     """
     excess: list[tuple[int, float]] = []
     for i in range(len(alpha_arcs)):
@@ -221,8 +220,8 @@ def ggt_retreat(
 
 
 def ggt_advance(cap, base_cap, alpha_arcs, alpha_coeff, alpha):
-    """Increasing-alpha capacity refresh (the numpy and numba tiers run
-    it as one array expression, :func:`repro.accel.vector.ggt_advance`)."""
+    """Increasing-alpha capacity refresh (the numpy tier runs it as one
+    array expression, :func:`repro.accel.vector.ggt_advance`)."""
     for i in range(len(alpha_arcs)):
         a = alpha_arcs[i]
         flow = cap[a ^ 1] - base_cap[a ^ 1]
@@ -312,3 +311,53 @@ def bucket_peel(inst, inc_start, inc_ids, deg, alive, in_graph, h, n_graph, num_
                 best_density = density
                 best_removed = i + 1
     return core, order, best_removed, best_density
+
+
+# --------------------------------------------------------------------
+# Lazy-deletion heap peel (PeelApp's engine)
+# --------------------------------------------------------------------
+
+
+def heap_peel(inst, inc_start, inc_ids, deg, alive, num_alive, n, h):
+    """Min-degree peel over a lazy-deletion heap, one removal per step.
+
+    Repeatedly removes the vertex of minimum ``(degree, id)`` among the
+    first ``n`` ids, kills its live instances (``alive`` is cleared in
+    place) and decrements the surviving members' ``deg`` (mutated in
+    place), down to a single remaining vertex.  The heap is O(log n) per
+    operation even when every vertex shares one degree (a per-degree
+    bucket scan degenerates to O(n) per pop on regular graphs); stale
+    entries are skipped on pop.  The keys are unique, so the removal
+    order is a pure function of the degrees -- exactly what a naive
+    min-scan with the same key removes.
+
+    A generator: yields ``(vid, num_alive)`` after each removal, the
+    live instance count included, so a caller can stop (or tick a
+    budget) between removals.
+    """
+    heap = [(deg[i], i) for i in range(n)]
+    heapq.heapify(heap)
+    removed = bytearray(len(deg))
+    push = heapq.heappush
+    pop = heapq.heappop
+    for _ in range(n - 1):
+        while heap:
+            d, vid = pop(heap)
+            if not removed[vid] and deg[vid] == d:
+                break
+        else:
+            return
+        removed[vid] = 1
+        for pos in range(inc_start[vid], inc_start[vid + 1]):
+            iid = inc_ids[pos]
+            if not alive[iid]:
+                continue
+            alive[iid] = 0
+            num_alive -= 1
+            for k in range(iid * h, iid * h + h):
+                uid = inst[k]
+                if not removed[uid]:
+                    deg[uid] -= 1
+                    if uid < n:
+                        push(heap, (deg[uid], uid))
+        yield vid, num_alive

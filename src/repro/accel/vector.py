@@ -1,4 +1,4 @@
-"""numpy kernel implementations -- the middle dispatch tier.
+"""numpy kernel implementations -- the fast tier.
 
 Whenever numpy is importable a ``ParametricNetwork`` keeps its arc
 arrays in numpy from construction to cut extraction
@@ -21,8 +21,8 @@ arrays in numpy from construction to cut extraction
   array expression.
 
 The sequential loops with no useful numpy formulation (the GGT retreat
-drains, the peels) stay on the pure tier, which the registry hands
-memoryviews of the arrays (:func:`on_views`).
+drains, the peels) stay on the pure tier, which :mod:`repro.accel`
+hands memoryviews of the arrays (:func:`on_views`).
 
 **The rounds** are Karzanov's preflow method (1974), one level of the
 compacted network per array expression.  A round sweeps the levels
@@ -61,7 +61,7 @@ from . import pure
 if env.flag("REPRO_NO_NUMPY"):  # explicit opt-out for CI / ablations
     np = None
 else:
-    try:  # optional: the registry only selects this tier with numpy present
+    try:  # optional: repro.accel only selects this tier with numpy present
         import numpy as np
     except ImportError:  # pragma: no cover - environment-specific
         np = None
@@ -97,7 +97,7 @@ MAX_ROUNDS = 16
 
 #: How the most recent :func:`dinic_max_flow` call ran: ``"numpy"`` (the
 #: planner) or ``"scalar"`` (the pure loop), and how many batched rounds
-#: its phases ran -- the telemetry side channel the accel dispatcher
+#: its phases ran -- the telemetry side channel :mod:`repro.accel`
 #: copies into the per-solve flow records.
 LAST_BFS_MODE = "scalar"
 LAST_ROUNDS = 0
@@ -350,8 +350,6 @@ def ggt_advance(cap, base_cap, alpha_arcs, alpha_coeff, alpha):
     order: ``(base + coeff·α) − flow``.  No α-arc is another's reverse,
     so the elementwise form reads exactly what the loop reads.
     """
-    if not isinstance(cap, np.ndarray):  # a list-backed caller (warm_up)
-        return pure.ggt_advance(cap, base_cap, alpha_arcs, alpha_coeff, alpha)
     rev = alpha_arcs ^ 1
     flow = cap[rev] - base_cap[rev]
     cap[alpha_arcs] = base_cap[alpha_arcs] + alpha_coeff * alpha - flow

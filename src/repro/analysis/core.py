@@ -6,8 +6,8 @@ The moving parts:
   the ``lint-ok`` suppressions found in it.
 * :class:`Project` -- every file of one lint run.  Rules receive the
   whole project, because the contracts they prove are cross-file (the
-  jit rule compares two modules' ``EPS`` literals; the coverage rule
-  checks event emissions in one file against schemas in another).
+  coverage rule checks event emissions in one file against schemas in
+  another).
 * :class:`Rule` / :func:`rule` -- the registry.  A rule is a class with
   an ``id``, a one-line ``doc``, and a ``check(project)`` generator of
   :class:`Finding` records.
@@ -108,7 +108,7 @@ class SourceFile:
             self.suppressions.setdefault(target, set()).update(rules)
 
     def endswith(self, suffix: str) -> bool:
-        """Posix-path suffix match (``accel/kernels.py`` style)."""
+        """Posix-path suffix match (``flow/network.py`` style)."""
         posix = self.path.as_posix()
         return posix.endswith(suffix) and (
             len(posix) == len(suffix) or posix[-len(suffix) - 1] == "/"

@@ -2,7 +2,7 @@
 
 The cross-tier bit-identity suite (and the warm-start checkpoint
 machinery it certifies) assumes the solver paths are deterministic
-functions of their inputs.  Three syntactic hazards break that silently
+functions of their inputs.  Two syntactic hazards break that silently
 and are flagged in the solver-path modules (``core/``, ``flow/``,
 ``cliques/``, plus ``accel/``):
 
@@ -14,9 +14,6 @@ and are flagged in the solver-path modules (``core/``, ``flow/``,
   arbitrary-element picks.  Set order depends on hash seeding; when the
   loop body breaks ties (``>`` vs ``>=``), results drift between runs.
   Iterating ``sorted(<set>)`` is fine and not flagged.
-* **fastmath** -- any call carrying a ``fastmath`` keyword.  It
-  licenses float reassociation, so the numba tier would stop being a
-  literal translation of the pure loops.
 * **unseeded randomness** -- calls through the global RNGs
   (``random.<fn>``, ``np.random.<fn>``) and ``np.random.default_rng()``
   / ``random.Random()`` without an explicit seed argument.
@@ -108,16 +105,9 @@ class _Visitor(ast.NodeVisitor):
     visit_DictComp = _visit_comprehension
     visit_GeneratorExp = _visit_comprehension
 
-    # --- calls: fastmath, randomness, iter(set) ----------------------
+    # --- calls: randomness, iter(set) --------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        for keyword in node.keywords:
-            if keyword.arg == "fastmath":
-                self.emit(
-                    keyword.value,
-                    "fastmath licenses float reassociation and breaks "
-                    "cross-tier bit-identity",
-                )
         if (
             isinstance(node.func, ast.Name)
             and node.func.id == "iter"
@@ -158,8 +148,8 @@ class _Visitor(ast.NodeVisitor):
 class Determinism(Rule):
     id = "determinism"
     doc = (
-        "no unordered set iteration, fastmath, or unseeded randomness "
-        "in the solver-path modules"
+        "no unordered set iteration or unseeded randomness in the "
+        "solver-path modules"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:

@@ -1,6 +1,6 @@
 """``env-discipline``: one place reads the environment.
 
-Every ``REPRO_*`` / ``NUMBA*`` knob is declared in :mod:`repro.env`
+Every ``REPRO_*`` knob is declared in :mod:`repro.env`
 with its type, default and documentation, and read through the typed
 accessors there.  Scattered ``os.environ`` reads are how the package
 accumulated three different truthiness conventions and an undocumented

@@ -106,9 +106,8 @@ def peel_index_decomposition(graph: Graph, index: CliqueIndex) -> CliqueCoreResu
     flat arrays -- instance kills walk the per-vertex CSR incidence
     ranges -- against a *private copy* of the alive layer, so the index
     itself is left untouched for later consumers (CoreExact's flow
-    phase reuses it).  The bucket-queue loop itself dispatches through
-    the :mod:`repro.accel` kernel registry (numba-compiled on the numba
-    tier, the pure loop otherwise; outputs bit-identical).
+    phase reuses it).  The bucket-queue loop itself is
+    :func:`repro.accel.bucket_peel`, the same pure loop on both tiers.
     """
     labels = index.vertices
     n = len(labels)

@@ -9,7 +9,6 @@ return the densest one.  Deterministic ``1/|V_Ψ|``-approximation
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterator, Sequence
 
 from .. import accel, guard, obs
@@ -34,81 +33,33 @@ def residual_vertices(graph: Graph, removal_order: Sequence[Vertex], steps: int)
 def min_degree_peel(
     graph: Graph, index: CliqueIndex
 ) -> Iterator[tuple[Vertex, set[Vertex], int]]:
-    """Min-Ψ-degree peel as a generator over a lazy-deletion heap.
+    """Min-Ψ-degree peel as a generator: the loop behind :func:`peel_densest`.
 
-    The peel loop behind :func:`peel_densest`: repeatedly remove the
-    vertex of minimum ``(Ψ-degree, graph-order rank)``, updating
-    degrees through the instance index.  The queue is a lazy-deletion
-    binary heap over ``(degree, rank)`` -- O(log n) per operation even
-    when every vertex shares one degree (a plain per-degree bucket
-    scan degenerates to O(n) per pop on regular graphs), and stale
-    entries are skipped on pop.  The rank tie-break makes the peel
-    order a pure function of the graph -- reproducible under
-    string-hash randomisation, and exactly replicable by a naive
-    min-scan with the same key (which is how the tests pin it).  The
-    heap works directly over the index's internal vertex ids (which
-    follow graph-iteration order, so id == rank) and degree updates
-    walk the flat incidence arrays.  Yields ``(removed, alive,
-    num_alive_instances)`` after each removal, down to a single
-    remaining vertex; ``alive`` is the live set mutated in place --
-    copy it to keep a snapshot.  ``index`` is consumed.
-
-    On the numba tier of the :mod:`repro.accel` registry the whole peel
-    runs in one compiled kernel call up front and the generator merely
-    replays the removal sequence (byte-identical yields: the heap keys
-    ``(degree, id)`` are unique, so the valid-pop order is a pure
-    function of the graph).  The index's alive layer then reaches its
-    fully-consumed state as soon as the generator starts rather than
-    step by step -- no consumer reads the index mid-iteration.
+    Repeatedly removes the vertex of minimum ``(Ψ-degree, graph-order
+    rank)``, updating degrees through the instance index, on the
+    lazy-deletion heap of :func:`repro.accel.heap_peel`.  The rank
+    tie-break makes the peel order a pure function of the graph --
+    reproducible under string-hash randomisation, and exactly
+    replicable by a naive min-scan with the same key (which is how the
+    tests pin it).  The heap works directly over the index's internal
+    vertex ids (which follow graph-iteration order, so id == rank).
+    Yields ``(removed, alive, num_alive_instances)`` after each removal,
+    down to a single remaining vertex; ``alive`` is the live set mutated
+    in place -- copy it to keep a snapshot.  ``index`` is consumed: its
+    alive layer and ``num_alive`` follow the peel step by step.
     """
     labels = index.vertices
     n = graph.num_vertices  # labels[:n] are the graph's vertices in rank order
     degrees = index.degrees()
     deg = [degrees[v] for v in labels]
-
-    if accel.get("heap_peel") is not None:
-        try:
-            order, num_alive_after, final_alive = accel.heap_peel(
-                index.inst, index.inc_start, index.inc_ids, deg, index.alive,
-                index.num_alive, n, index.h,
-            )
-        except accel.KernelFallback:
-            # the kernel failed with nothing left to demote to; ``deg``
-            # and ``alive`` were restored, so the reference loop below
-            # peels the untouched state
-            pass
-        else:
-            index.num_alive = final_alive
-            alive = set(labels[:n])
-            for vid, num_alive in zip(order, num_alive_after):
-                alive.discard(labels[vid])
-                yield labels[vid], alive, num_alive
-            return
-
-    heap = [(deg[i], i) for i in range(n)]
-    heapq.heapify(heap)
-
     alive = set(labels[:n])
-    removed = bytearray(len(labels))
-    push = heapq.heappush
-    pop = heapq.heappop
-    for _ in range(n - 1):
-        vid = -1
-        while heap:
-            d, i = pop(heap)
-            if not removed[i] and deg[i] == d:
-                vid = i
-                break
-        if vid < 0:
-            break
-        removed[vid] = 1
+    for vid, num_alive in accel.heap_peel(
+        index.inst, index.inc_start, index.inc_ids, deg, index.alive,
+        index.num_alive, n, index.h,
+    ):
+        index.num_alive = num_alive
         alive.discard(labels[vid])
-        for uid in index.peel_vertex_ids(vid):
-            if not removed[uid]:
-                deg[uid] -= 1
-                if uid < n:
-                    push(heap, (deg[uid], uid))
-        yield labels[vid], alive, index.num_alive
+        yield labels[vid], alive, num_alive
 
 
 def peel_densest(

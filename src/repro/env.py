@@ -70,18 +70,8 @@ REGISTRY: dict[str, EnvVar] = {
         _var(
             "REPRO_NO_NUMPY", "flag", False,
             "Force the pure-python tier everywhere numpy would be used: the "
-            "accel registry, the vectorised Dinic BFS, CSR assembly, and the "
+            "accel kernels, the vectorised Dinic BFS, CSR assembly, and the "
             "clique enumeration kernels.  Any non-empty value counts.",
-        ),
-        _var(
-            "REPRO_NO_NUMBA", "flag", False,
-            "Disable just the numba accel tier (numpy paths stay on).",
-        ),
-        _var(
-            "REPRO_NUMBA_INTERP", "flag", False,
-            "Select the numba tier with the kernels run *interpreted* when "
-            "numba itself is missing -- slow, but byte-for-byte the code the "
-            "JIT would compile; how no-numba CI pins the tier's bit-identity.",
         ),
         _var(
             "REPRO_TRACE", "text", "",
@@ -94,12 +84,6 @@ REGISTRY: dict[str, EnvVar] = {
             "Arm the invariant sanitizer: audit every flow solve "
             "(conservation, capacity, min-cut duality) and recompute every "
             "result density from scratch.  ``1/true/yes/on`` only.",
-        ),
-        _var(
-            "REPRO_FAULT", "text", "",
-            "Deterministic fault plan for the accel kernels: "
-            "``<kernel>:<nth>[,<kernel>:<nth>...]`` makes the nth call of "
-            "each named kernel raise, exercising the failover chains.",
         ),
         _var(
             "REPRO_SNAPSHOT_DIR", "text", "",
@@ -130,20 +114,6 @@ REGISTRY: dict[str, EnvVar] = {
             "REPRO_LINT_IGNORE", "text", "",
             "Default ``--ignore`` for ``python -m repro.analysis``: a "
             "comma-separated list of rule ids to skip.",
-        ),
-        _var(
-            "NUMBA_CACHE_DIR", "text", "",
-            "Where ``njit(cache=True)`` persists compiled kernels (read by "
-            "numba itself; CI caches this directory keyed on the kernel "
-            "source).",
-            external=True,
-        ),
-        _var(
-            "NUMBA_DISABLE_JIT", "flag", False,
-            "Numba's own kill-switch: compiled kernels run interpreted.  Not "
-            "read by this package (prefer REPRO_NO_NUMBA, which re-tiers the "
-            "registry instead of silently slowing it down).",
-            external=True,
         ),
         _var(
             "PYTHONPATH", "text", "",

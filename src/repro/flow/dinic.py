@@ -8,14 +8,13 @@ level graphs (the Goldberg EDS network chains vertex nodes) cannot hit
 the interpreter recursion limit.
 
 The solver runs on the flat arc arrays exposed by
-``network.flow_arrays()`` and dispatches through the :mod:`repro.accel`
-kernel registry: the numba tier compiles the whole BFS + DFS to native
-code; the numpy tier plans each phase in numpy from
+``network.flow_arrays()`` through :func:`repro.accel.dinic_max_flow`:
+the numpy tier plans each phase in numpy from
 :data:`~repro.accel.vector.PLAN_MIN_ARCS` arc entries -- the level
 graph cut down to the arcs of shortest augmenting paths -- computes the
 blocking flow of a large phase in batched array rounds and runs the
 reference DFS on the rest; the python tier runs the portable scalar
-loops.  Every tier leaves the same minimal min cut.
+loops.  Both tiers leave the same minimal min cut.
 """
 
 from __future__ import annotations

@@ -56,6 +56,7 @@ warm chain.
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .. import accel, guard, obs
@@ -443,6 +444,14 @@ class ParametricNetwork:
         O(#breakpoints) max-flow solves -- each warm-started from a
         neighbouring α by the advance/retreat machinery.
 
+        Whether a probe's cut lies below the lower endpoint's line at
+        their crossing is decided in exact rationals: every network's
+        base capacities and α-coefficients are integers, and INF arcs
+        never cross a min cut, so every cut line has integer
+        coefficients.  A relative tolerance on cut values, which are
+        about m·n, would take two cuts as adjacent past a cut between
+        them.  ``tol`` only guards the α interval.
+
         Returns ``[(α_0, S_0), (α_1, S_1), ...]`` sorted by α:
         ``S_0`` is the minimal cut at ``alpha_lo`` and each subsequent
         ``(α_i, S_i)`` says the minimal cut changes to ``S_i`` (as
@@ -473,14 +482,17 @@ class ParametricNetwork:
             (A_lo, B_lo), (A_hi, B_hi) = line_lo, line_hi
             if B_lo == B_hi:  # parallel lines never cross: no breakpoint between
                 continue
-            cross = (A_hi - A_lo) / (B_lo - B_hi)
+            # exact: the lines' coefficients are integers, and float() of
+            # the quotient is the correctly rounded division
+            exact = (Fraction(A_hi) - Fraction(A_lo)) / (Fraction(B_lo) - Fraction(B_hi))
+            cross = float(exact)
             if not (a_lo - tol <= cross <= a_hi + tol):  # pragma: no cover - numeric guard
                 continue
             mid_nodes, mid_line = probe(cross)
-            mid_value = mid_line[0] + mid_line[1] * cross
-            lo_value_at_cross = A_lo + B_lo * cross
-            value_tol = tol * (1.0 + abs(lo_value_at_cross))
-            if mid_value >= lo_value_at_cross - value_tol or mid_nodes in (nodes_lo, nodes_hi):
+            if mid_nodes in (nodes_lo, nodes_hi) or (
+                Fraction(mid_line[0]) + Fraction(mid_line[1]) * exact
+                >= Fraction(A_lo) + Fraction(B_lo) * exact
+            ):
                 # the two endpoint lines meet on the lower envelope:
                 # cross is the single breakpoint separating their cuts
                 breaks.append((cross, nodes_hi))

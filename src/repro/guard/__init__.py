@@ -1,11 +1,10 @@
-"""Solver resilience layer: budgets, degradation, failover, sanitizing.
+"""Solver resilience layer: budgets, degradation, sanitizing.
 
 The solvers in this package are exact algorithms with unbounded worst
 cases: a hostile graph can hold one :func:`~repro.api.densest_subgraph`
-call in flow solves indefinitely, a crashing accel kernel kills the
-whole request, and silently malformed input produces silently wrong
-densities.  This package is the containment layer the serving tentpole
-builds on.  Four pieces:
+call in flow solves indefinitely, and silently malformed input produces
+silently wrong densities.  This package is the containment layer the
+serving layer builds on.  Two pieces:
 
 **Budgets** (:class:`Budget`).  A context manager installing a
 cooperative budget -- wall-clock deadline, max flow solves, max network
@@ -22,21 +21,13 @@ budget post-mortem; a ``guard.deadline`` obs event records where the
 budget died.  Disabled cost is one module-attribute read per
 checkpoint, same discipline as ``obs.ENABLED``.
 
-**Tier failover** (:mod:`repro.accel`).  The kernel dispatchers retry a
-raising kernel on the next tier down (numba -> numpy -> pure), demote
-that kernel for the process, and emit ``accel.failover`` counters and
-events.  Results stay bit-identical because the tiers already are.
-
-**Fault injection** (:mod:`repro.guard.faults`).  ``REPRO_FAULT=
-<kernel>:<nth>`` makes the ``nth`` call of a kernel raise, so the
-failover and degradation paths above are CI-tested, not theorized.
-``make chaos-smoke`` drives the scenarios.
-
 **Invariant sanitizer** (:mod:`repro.guard.sanitize`).  ``REPRO_CHECK=1``
 (or :func:`enable_checks`) validates flow conservation, capacity
 feasibility and the max-flow/min-cut duality after every solve, plus
 peel monotonicity and final-result density recomputation -- silent
 wrong answers become loud ones.
+
+``make chaos-smoke`` (:mod:`repro.guard.chaos`) drives both end to end.
 """
 
 from __future__ import annotations
@@ -46,7 +37,6 @@ import time
 from typing import Optional
 
 from .. import env, obs
-from . import faults
 from .sanitize import SanitizerError
 
 __all__ = [
@@ -58,7 +48,6 @@ __all__ = [
     "enable_checks",
     "disable_checks",
     "degraded_stats",
-    "faults",
 ]
 
 #: The installed budget (or None).  Solvers read this once per

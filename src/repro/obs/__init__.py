@@ -1,6 +1,6 @@
 """Solver-wide tracing & metrics -- the observability layer.
 
-Every layer of this package (flow solvers, the accel kernel registry,
+Every layer of this package (flow solvers, the accel kernels,
 the clique index, the exact/approximate solvers, the public API)
 reports what it does through this module, so a single run yields a
 complete nested profile: which phases ran, how long each took, how many
@@ -387,28 +387,23 @@ def counter(name: str, n: int = 1) -> None:
 def env_fingerprint() -> dict:
     """The run environment, for cross-run comparability of artefacts.
 
-    Python version and platform, numpy / numba importability (with
-    versions; respects the ``REPRO_NO_*`` opt-outs, so it reports what
-    the *solvers* see, not what pip installed), whether the numba tier
-    is actually jitted, and the active accel tier with its per-kernel
-    resolution.
+    Python version and platform, the numpy version the solvers see
+    (``None`` under ``REPRO_NO_NUMPY``, even with numpy installed) and
+    the active accel tier.  ``numba`` is always ``None``: no tier
+    compiles code, and the key stays because the benchmark harness
+    records it and older trajectory entries carry it.
     """
     import platform
 
-    fp: dict = {
-        "python": platform.python_version(),
-        "platform": sys.platform,
-    }
     from .. import accel  # late: accel itself imports this module
 
-    np_mod = getattr(accel, "np", None)
-    numba_mod = getattr(accel, "numba", None)
-    fp["numpy"] = getattr(np_mod, "__version__", None) if np_mod is not None else None
-    fp["numba"] = getattr(numba_mod, "__version__", None) if numba_mod is not None else None
-    fp["numba_available"] = getattr(accel, "NUMBA_JITTED", False)
-    fp["active_tier"] = getattr(accel, "TIER", None)
-    fp["kernel_tiers"] = dict(getattr(accel, "KERNEL_TIERS", {}))
-    return fp
+    return {
+        "python": platform.python_version(),
+        "platform": sys.platform,
+        "numpy": accel.np.__version__ if accel.np is not None else None,
+        "numba": None,
+        "active_tier": accel.TIER,
+    }
 
 
 # --- REPRO_TRACE: configure at import --------------------------------

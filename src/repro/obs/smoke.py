@@ -95,7 +95,7 @@ def run(path: str) -> int:
     if flow["warm"] == 0:
         ok = False
         print("ERROR: no warm-started solves in the trace", file=sys.stderr)
-    if accel.KERNEL_TIERS["dinic"] == "numpy" and flow["rounds"] == 0:
+    if accel.TIER == "numpy" and flow["rounds"] == 0:
         ok = False
         print("ERROR: the numpy tier ran no batched blocking-flow round", file=sys.stderr)
     for failure in failures:

@@ -6,7 +6,7 @@ is one JSON object per line.  Four record types:
 ``meta``
     The header: ``{"type": "meta", "env": {...}, "clock": str}``.
     ``env`` must carry the fingerprint keys (python, platform, numpy,
-    numba, numba_available, active_tier, kernel_tiers).
+    numba, active_tier).
 ``span``
     A closed timed scope: name (str), seq (int >= 1), depth (int >= 0),
     parent (str or null), dur_s (float >= 0), optional t0_s (monotonic
@@ -35,10 +35,7 @@ import json
 import sys
 from typing import Iterable, NamedTuple
 
-ENV_KEYS = (
-    "python", "platform", "numpy", "numba", "numba_available", "active_tier",
-    "kernel_tiers",
-)
+ENV_KEYS = ("python", "platform", "numpy", "numba", "active_tier")
 FLOW_MODES = ("noop", "advance", "retreat", "cold")
 SUMMARY_KEYS = ("env", "spans", "events", "counters", "flow", "serve")
 
@@ -81,13 +78,6 @@ EVENT_SCHEMAS: dict[str, dict[str, Field]] = {
         "elapsed_s": Field("number", nonneg=True),
         "solves": Field("int", required=False, nonneg=True),
         "rounds": Field("int", required=False, nonneg=True),
-    },
-    # a kernel demoted down its tier chain (accel/__init__.py)
-    "accel.failover": {
-        "kernel": Field("str"),
-        "from_tier": Field("str"),
-        "to_tier": Field("str"),
-        "error": Field("str"),
     },
     # one per CliqueIndex build (cliques/index.py)
     "cliques.index": {

@@ -160,15 +160,14 @@ def _last_nonempty(sizes) -> int:
 def _certify_top(net, family: list, count_of) -> list:
     """``family`` with its last non-empty cut certified densest.
 
-    ``solve_breakpoints`` takes two cuts as adjacent when the probe
-    between them lowers the cut value by at most a tolerance relative
-    to that value, which is about m·n on Goldberg's network, so on a
-    large component it can go from a cut ``S`` straight to the empty
-    cut, past a denser ``D ⊂ S``.  The Newton walk from ρ(S) compares
-    exact densities instead: one solve when ``S`` is densest, else it
-    ends on the maximal densest subgraph ``D``, which is spliced in
-    between ``S`` and the empty cut at the exact crossings of their
-    lines.
+    ``solve_breakpoints`` decides adjacency exactly, but it skips an
+    α interval narrower than its ``tol`` without probing it, so it
+    could in principle go from a cut ``S`` straight to the empty cut,
+    past a denser ``D ⊂ S``.  The Newton walk from ρ(S) compares exact
+    densities instead: one solve when ``S`` is densest (the certificate
+    a cold walk ends on), else it ends on the maximal densest subgraph
+    ``D``, which is spliced in between ``S`` and the empty cut at the
+    exact crossings of their lines.
     """
     i = _last_nonempty([len(cut) for _, cut in family])
     if i < 0:

@@ -4,8 +4,6 @@ import random
 
 import numpy as np
 
-from numba import njit  # fixture-only; never imported at test time
-
 
 def tie_break(nodes, score):
     best = None
@@ -21,8 +19,3 @@ def tie_break(nodes, score):
     for v in nodes & {best}:  # repro: lint-ok[determinism] -- order-free sum
         total += score[v]
     return best, picks, seed, noise, jitter, rng, total
-
-
-@njit(cache=True, fastmath=True)  # expect[determinism]  (fastmath)
-def reassociating_kernel(x):
-    return x + 1.0

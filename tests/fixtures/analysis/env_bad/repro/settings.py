@@ -8,5 +8,5 @@ TRACE = os.environ.get("REPRO_TRACE", "")  # expect[env-discipline]
 CHECK = os.getenv("REPRO_CHECK")  # expect[env-discipline]
 
 
-def no_numba():
-    return bool(os.environ.get("REPRO_NO_NUMBA"))  # expect[env-discipline]
+def no_numpy():
+    return bool(os.environ.get("REPRO_NO_NUMPY"))  # expect[env-discipline]

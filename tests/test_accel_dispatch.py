@@ -1,21 +1,17 @@
-"""Backend-dispatch property suite for the :mod:`repro.accel` registry.
+"""Backend-dispatch property suite for the :mod:`repro.accel` tiers.
 
 Three layers of guarantees:
 
-* **selection** -- the import-time tier honors ``REPRO_NO_NUMBA`` /
-  ``REPRO_NO_NUMPY`` / ``REPRO_NUMBA_INTERP`` (pinned in subprocesses,
-  since the flags are read once at import);
-* **bit-identity** -- every tier produces *identical* flow values,
+* **selection** -- the import-time tier is numpy when importable and
+  python under ``REPRO_NO_NUMPY`` (pinned in subprocesses, since the
+  flag is read once at import);
+* **bit-identity** -- both tiers produce *identical* flow values,
   residual capacity floats, min cuts, peel orders, core numbers and
-  densities on the random network/graph matrices.  When numba is not
-  installed, the "numba" tier runs the kernels interpreted -- slow, but
-  byte-for-byte the code the JIT would compile, so the identity claims
-  transfer;
+  densities on the random network/graph matrices;
 * **end-to-end** -- Exact / CoreExact / PeelApp / the GGT breakpoint
   drivers return identical results whichever tier is selected.
 """
 
-import json
 import os
 import random
 import subprocess
@@ -41,15 +37,7 @@ from .test_flow_parametric import _net_outflow, _network_of_kind, _plain_arcs
 SRC_DIR = str(Path(accel.__file__).resolve().parents[2])
 
 
-def _tiers() -> list:
-    """Every tier testable in this interpreter (interp-numba included)."""
-    tiers = list(accel.available_tiers())
-    if "numba" not in tiers and accel.np is not None:
-        tiers.append("numba")  # interpreted kernels, same code the JIT compiles
-    return tiers
-
-
-TIERS = _tiers()
+TIERS = accel.available_tiers()
 MULTI = len(TIERS) >= 2
 
 #: A ``ROUNDS_MIN_ARCS`` no phase reaches: the DFS pushes every phase.
@@ -69,8 +57,7 @@ def _restore_tier():
 
 
 def _clean_env() -> dict:
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("REPRO_NO_NUMPY", "REPRO_NO_NUMBA", "REPRO_NUMBA_INTERP")}
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_NO_NUMPY"}
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     return env
 
@@ -86,73 +73,56 @@ def _probe_import(module: str) -> bool:
 
 
 HAS_NUMPY = _probe_import("numpy")
-HAS_NUMBA = HAS_NUMPY and _probe_import("numba")
 
 
-def _subprocess_state(extra_env: dict) -> tuple:
+def _subprocess_tier(extra_env: dict) -> str:
     env = _clean_env()
     env.update(extra_env)
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import json, repro.accel as a; "
-            "print(json.dumps([a.TIER, a.NUMBA_JITTED, a.kernel_tiers()]))",
-        ],
+    return subprocess.run(
+        [sys.executable, "-c", "import repro.accel as a; print(a.TIER)"],
         env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    tier, jitted, kernel_tiers = json.loads(out)
-    return tier, jitted, kernel_tiers
+    ).stdout.strip()
 
 
 class TestSelection:
     def test_no_numpy_forces_python_tier(self):
-        tier, jitted, kernels = _subprocess_state({"REPRO_NO_NUMPY": "1"})
-        assert tier == "python"
-        assert not jitted
-        assert set(kernels.values()) == {"python"}
-
-    def test_no_numba_stops_at_numpy_tier(self):
-        tier, jitted, kernels = _subprocess_state({"REPRO_NO_NUMBA": "1"})
-        assert not jitted
-        if HAS_NUMPY:
-            assert tier == "numpy"
-            assert kernels["dinic"] == "numpy"
-            assert kernels["ggt_retreat"] == "python"
-        else:  # pragma: no cover - environment-specific
-            assert tier == "python"
+        assert _subprocess_tier({"REPRO_NO_NUMPY": "1"}) == "python"
 
     def test_default_tier_is_best_available(self):
-        tier, jitted, kernels = _subprocess_state({})
-        if HAS_NUMBA:  # pragma: no cover - environment-specific
-            assert tier == "numba" and jitted
-            assert kernels["dinic"] == "numba"
-        elif HAS_NUMPY:
-            assert tier == "numpy" and not jitted
-        else:  # pragma: no cover - environment-specific
-            assert tier == "python"
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="interp kernels need numpy")
-    def test_interp_flag_selects_numba_tier_without_numba(self):
-        tier, jitted, kernels = _subprocess_state({"REPRO_NUMBA_INTERP": "1"})
-        assert tier == "numba"
-        expected = "numba" if HAS_NUMBA else "numba-interp"
-        assert kernels["dinic"] == expected
-        # the advance is one numpy array expression on both array tiers
-        assert kernels["ggt_advance"] == "numpy"
+        expected = "numpy" if HAS_NUMPY else "python"
+        assert _subprocess_tier({}) == expected
 
     def test_select_tier_validates(self):
-        with pytest.raises(ValueError):
-            accel.select_tier("bogus")
+        for gone in ("bogus", "numba"):
+            with pytest.raises(ValueError):
+                accel.select_tier(gone)
         if accel.np is None:
             with pytest.raises(RuntimeError):
                 accel.select_tier("numpy")
 
-    def test_registry_covers_all_kernels(self):
+    def test_every_tier_runs_the_five_kernels(self):
+        """Each kernel the benchmark times by name runs on a toy input
+        on every tier: a two-node network, one 2-clique instance."""
         for tier in TIERS:
-            accel.select_tier(tier)
-            assert set(accel.kernel_tiers()) == set(accel.KERNEL_NAMES)
-            assert accel.warm_up() == tier
+            assert accel.select_tier(tier) == tier
+            arrays = [[1, 0], [0, 1, 2], [0, 1]]  # head, adj_start, adj_arcs
+            if accel.np is not None:
+                arrays = [accel.np.asarray(a, dtype=accel.np.int64) for a in arrays]
+            head, adj_start, adj_arcs = arrays
+            f8 = accel.np.asarray if accel.np is not None else list
+            cap = f8([1.0, 0.0])
+            assert accel.dinic_max_flow(0, 1, head, cap, adj_start, adj_arcs) == 1.0
+            base, coeff, alpha_arcs = f8([0.0, 0.0]), f8([1.0]), head[1:]  # the s-t arc
+            accel.ggt_retreat(head, cap, base, adj_start, adj_arcs, alpha_arcs, coeff, 2, 0, 0.25)
+            assert list(cap) == [0.0, 0.25]  # the s-t arc clamped to its new capacity
+            accel.ggt_advance(cap, base, alpha_arcs, coeff, 0.75)
+            assert list(cap) == [0.5, 0.25]
+            peel = accel.bucket_peel([0, 1], [0, 1, 2], [0, 0], [1, 1], bytearray(b"\x01"),
+                                     bytearray(b"\x01\x01"), 2, 2, 1)
+            assert peel == ([1, 1], [0, 1], 0, 0.5)  # core numbers, order, best step, density
+            alive = bytearray(b"\x01")
+            steps = list(accel.heap_peel([0, 1], [0, 1, 2], [0, 0], [1, 1], alive, 1, 2, 2))
+            assert steps == [(0, 0)] and alive == bytearray(b"\x00")
 
 
 # --------------------------------------------------------------------

@@ -12,9 +12,7 @@ Three layers:
   standalone / reason required), the ``syntax`` meta-rule, select /
   ignore resolution, and the CLI's exit codes and JSON shape;
 * **the real tree** -- ``src/repro`` itself lints clean with every rule
-  on, which is the invariant CI's ``lint-deep`` leg enforces, and the
-  EPS literal duplicated into the kernel module matches the canonical
-  one at runtime, not just under the jit rule's static comparison.
+  on, which is the invariant CI's ``lint-deep`` leg enforces.
 """
 
 import json
@@ -41,8 +39,6 @@ SRC_TREE = REPO / "src" / "repro"
 
 #: fixture family -> the rule its trees exercise
 FAMILIES = {
-    "jit": "jit-safety",
-    "parity": "tier-parity",
     "det": "determinism",
     "cov": "obs-coverage",
     "env": "env-discipline",
@@ -83,18 +79,6 @@ def test_good_fixture_is_clean(family):
     findings, files = run_paths([str(tree)], select=[FAMILIES[family]])
     assert findings == []
     assert files > 0
-
-
-def test_jit_fixture_flags_the_planted_closure_and_dict_comprehension():
-    # The two violations the issue names explicitly must be among the
-    # planted set, reported with a message that says what they are.
-    findings, _ = run_paths(
-        [str(FIXTURES / "jit_bad")], select=["jit-safety"]
-    )
-    messages = [f.message for f in findings]
-    assert any("closure" in m for m in messages)
-    assert any("dict comprehension" in m for m in messages)
-    assert any("EPS literal" in m for m in messages)
 
 
 def test_det_fixture_suppression_silences_the_order_free_loop():
@@ -151,7 +135,7 @@ def test_suppression_naming_no_rule_is_a_finding(tmp_path):
 
 
 def test_suppression_for_a_different_rule_does_not_silence(tmp_path):
-    text = "for v in {1, 2, 3}:  # repro: lint-ok[jit-safety] -- wrong rule\n    print(v)\n"
+    text = "for v in {1, 2, 3}:  # repro: lint-ok[env-discipline] -- wrong rule\n    print(v)\n"
     findings = _lint_snippet(tmp_path, text)
     assert [f.rule for f in findings] == ["determinism"]
 
@@ -176,10 +160,8 @@ def test_resolve_rules_rejects_unknown_ids():
         resolve_rules(ignore=["no-such-rule"])
 
 
-def test_registry_has_the_five_project_rules():
+def test_registry_has_the_three_project_rules():
     assert set(RULES) == {
-        "jit-safety",
-        "tier-parity",
         "determinism",
         "obs-coverage",
         "env-discipline",
@@ -258,11 +240,3 @@ def test_cli_self_run_from_repo_root():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "clean" in proc.stdout
-
-
-def test_kernel_eps_matches_network_eps_at_runtime():
-    numpy = pytest.importorskip("numpy")  # noqa: F841 (kernels needs it)
-    from repro.accel import kernels
-    from repro.flow import network
-
-    assert kernels.EPS == network.EPS

@@ -1,11 +1,10 @@
-"""The resilience layer: budgets, degradation, failover, faults, sanitizer."""
+"""The resilience layer: budgets, degradation, sanitizer."""
 
 import math
 import random
 import subprocess
 import sys
 import time
-import warnings
 
 import pytest
 
@@ -18,14 +17,8 @@ from repro.core.pds import pattern_peel_densest
 from repro.core.peel import peel_densest
 from repro.flow.builders import build_eds_parametric
 from repro.graph.graph import Graph, complete_graph
-from repro.guard import faults, sanitize
+from repro.guard import sanitize
 from repro.patterns.pattern import get_pattern
-
-
-needs_numpy = pytest.mark.skipif(
-    "numpy" not in accel.available_tiers(),
-    reason="numpy unavailable: no tier to fail over from",
-)
 
 
 def random_graph(n, m, seed=0):
@@ -61,7 +54,6 @@ def subgraph_density(g, vertices, h):
 def _clean_guard_state():
     checking = guard.CHECK  # REPRO_CHECK=1 arms it for the whole suite
     yield
-    faults.reset()
     accel.select_tier(None)
     if checking:
         guard.enable_checks()
@@ -411,183 +403,6 @@ class TestDeadlineWallClock:
 
 
 # ---------------------------------------------------------------------
-# Fault injection + tier failover
-# ---------------------------------------------------------------------
-
-
-class TestFaultPlan:
-    def test_parse_spec(self):
-        faults.parse("dinic:2, bucket_peel:1")
-        assert faults.ARMED
-        with pytest.raises(faults.InjectedFault):
-            try:
-                faults.maybe_raise("dinic", "numpy")  # call 1: no fire
-                faults.maybe_raise("bucket_peel", "numpy")  # fires
-            finally:
-                pass
-
-    @pytest.mark.parametrize("spec", ["dinic", "dinic:x", ":3"])
-    def test_parse_rejects_bad_spec(self, spec):
-        with pytest.raises(ValueError):
-            faults.parse(spec)
-
-    def test_inject_rejects_nonpositive_call(self):
-        with pytest.raises(ValueError):
-            faults.inject("dinic", nth=0)
-
-    def test_counting_starts_at_arming(self):
-        faults.inject("dinic", nth=1)
-        with pytest.raises(faults.InjectedFault):
-            faults.maybe_raise("dinic", "numpy")
-        assert faults.fired() == [{"kernel": "dinic", "call": 1, "tier": "numpy"}]
-        faults.reset()
-        assert not faults.ARMED
-        faults.maybe_raise("dinic", "numpy")  # disarmed: no-op
-
-    def test_env_spec_arms_subprocess(self):
-        code = (
-            "import repro.accel as a, repro.guard.faults as f, warnings\n"
-            "from repro.graph.graph import complete_graph\n"
-            "from repro.core.exact import exact_densest\n"
-            "assert f.ARMED\n"
-            "warnings.simplefilter('ignore', RuntimeWarning)\n"
-            "r = exact_densest(complete_graph(6), 2)\n"
-            "assert r.density == 2.5, r.density\n"
-            "log = a.failover_log()\n"
-            "assert len(log) == 1 and log[0]['kernel'] == 'dinic', log\n"
-            "print('SUBPROCESS-OK')\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": "src", "REPRO_FAULT": "dinic:1", "PATH": "/usr/bin:/bin"},
-        )
-        assert "SUBPROCESS-OK" in out.stdout, out.stderr
-
-
-@needs_numpy
-class TestFailover:
-    def test_kernel_chain_shape(self):
-        accel.select_tier("numpy")
-        assert accel.kernel_chain("dinic") == ("numpy", "python")
-        assert accel.kernel_chain("ggt_retreat") == ("python",)
-
-    def test_failover_is_bit_identical(self):
-        g = random_graph(40, 170, seed=47)
-        accel.select_tier("numpy")
-        clean = exact_densest(g, 2)
-        accel.select_tier("numpy")  # rebuild: clear any demotions
-        faults.inject("dinic", nth=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            faulted = exact_densest(g, 2)
-        assert faulted.vertices == clean.vertices
-        assert faulted.density == clean.density  # bit-identical, not approx
-        assert accel.kernel_tiers()["dinic"] == "python"  # demoted for process
-        log = accel.failover_log()
-        assert len(log) == 1
-        assert log[0]["kernel"] == "dinic"
-        assert log[0]["from_tier"] == "numpy"
-        assert log[0]["to_tier"] == "python"
-        assert "InjectedFault" in log[0]["error"]
-
-    def test_failover_emits_warning_and_counters(self):
-        accel.select_tier("numpy")
-        faults.inject("dinic", nth=1)
-        obs.enable()
-        try:
-            with pytest.warns(RuntimeWarning, match="demoted"):
-                exact_densest(complete_graph(6), 2)
-            col = obs.get_collector()
-            assert col.counters.get("accel.failover") == 1
-            assert col.counters.get("accel.failover.dinic") == 1
-            events = [e for e in col.events() if e["name"] == "accel.failover"]
-            assert len(events) == 1
-            assert events[0]["fields"]["kernel"] == "dinic"
-        finally:
-            obs.disable()
-
-    def test_chain_exhaustion_surfaces_the_fault(self):
-        accel.select_tier("numpy")
-        faults.inject("dinic", nth=1)
-        faults.inject("dinic", nth=2)  # the retry on the pure tier fails too
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(faults.InjectedFault):
-                exact_densest(complete_graph(6), 2)
-
-    def test_mid_mutation_failure_restores_arrays(self):
-        """A kernel that corrupts ``cap`` before raising must be undone."""
-        accel.select_tier("numpy")
-        real = accel._impl["dinic"]
-
-        def evil(source, sink, head, cap, adj_start, adj_arcs):
-            for i in range(len(cap)):
-                cap[i] = -999.0  # trash the residuals mid-flight
-            raise RuntimeError("kernel crashed mid-mutation")
-
-        accel._impl["dinic"] = evil
-        g = random_graph(30, 120, seed=53)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = exact_densest(g, 2)
-        accel.select_tier("numpy")
-        clean = exact_densest(g, 2)
-        assert res.vertices == clean.vertices
-        assert res.density == clean.density
-        assert real is not evil
-
-    def test_planner_failure_mid_solve_restores_arrays(self, monkeypatch):
-        """A planned Dinic solve whose batched rounds fail after a phase
-        was scattered back is undone, and the python retry leaves the
-        same residuals."""
-        from repro.accel import vector
-
-        g = random_graph(60, 300, seed=53)
-        accel.select_tier("python")
-        ref = build_eds_parametric(g)
-        ref_cut = ref.solve(5.0)  # four phases
-        monkeypatch.setattr(vector, "PLAN_MIN_ARCS", 0)
-        monkeypatch.setattr(vector, "ROUNDS_MIN_ARCS", 0)
-        accel.select_tier("numpy")
-        real = vector._push_rounds
-        calls = []
-
-        def flaky(*args):
-            calls.append(None)
-            if len(calls) == 2:  # the planner's second phase
-                raise RuntimeError("rounds crashed after one scatter")
-            return real(*args)
-
-        monkeypatch.setattr(vector, "_push_rounds", flaky)
-        net = build_eds_parametric(g)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            cut = net.solve(5.0)
-        assert [rec["from_tier"] for rec in accel.failover_log()] == ["numpy"]
-        assert cut == ref_cut
-        assert tuple(net.cap) == tuple(ref.cap)
-
-    def test_heap_peel_fallback_to_reference_loop(self):
-        """With no impl below it, a failing heap_peel kernel falls back
-        to the reference generator loop (KernelFallback path)."""
-        accel.select_tier("numpy")
-        if accel.get("heap_peel") is not None:  # pragma: no cover
-            pytest.skip("numpy tier unexpectedly has a heap_peel kernel")
-        g = random_graph(40, 170, seed=59)
-        res = peel_densest(g, 2)
-        assert res.density == pytest.approx(subgraph_density(g, res.vertices, 2))
-
-    def test_warm_up_survives_injected_faults(self):
-        accel.select_tier("numpy")
-        faults.inject("dinic", nth=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            tier = accel.warm_up()
-        assert tier == "numpy"
-
-
-# ---------------------------------------------------------------------
 # Invariant sanitizer
 # ---------------------------------------------------------------------
 
@@ -726,23 +541,12 @@ class TestTraceSchemas:
         bad = dict(good, elapsed_s=-1)
         assert self._validate_event("guard.deadline", bad)
 
-    def test_accel_failover_schema(self):
-        good = {"kernel": "dinic", "from_tier": "numba", "to_tier": "numpy", "error": "x"}
-        assert self._validate_event("accel.failover", good) == []
-        assert self._validate_event("accel.failover", {"kernel": "dinic"})
-        assert self._validate_event("accel.failover", dict(good, kernel=3))
-
     def test_live_trace_passes_validation(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         obs.enable(sink=str(path))
         try:
-            if len(accel.kernel_chain("dinic")) >= 2:
-                # only inject when a fallback tier exists to absorb it
-                faults.inject("dinic", nth=1)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                with guard.Budget(max_solves=2):
-                    exact_densest(random_graph(30, 120, seed=79), 2)
+            with guard.Budget(max_solves=2):
+                exact_densest(random_graph(30, 120, seed=79), 2)
         finally:
             obs.disable()
             obs.close()
@@ -762,10 +566,10 @@ def test_disabled_overhead_within_budget(monkeypatch):
     """The guard layer costs <= 2% of a solve cell when nothing is armed.
 
     Same non-flaky construction as the obs overhead test: measure the
-    per-call cost of the disabled primitives (the ``guard.ACTIVE`` read
-    the solvers make, the ``faults.ARMED`` read the dispatcher makes)
-    and multiply by the checkpoint volume of a real cell, instead of
-    differencing two noisy end-to-end wall times.  The sanitizer is
+    per-call cost of the disabled primitives (the ``guard.ACTIVE`` and
+    ``guard.CHECK`` reads the solvers make) and multiply by the
+    checkpoint volume of a real cell, instead of differencing two noisy
+    end-to-end wall times.  The sanitizer is
     disarmed for the test, which a ``REPRO_CHECK=1`` suite arms.
     """
     monkeypatch.setattr(guard, "CHECK", False)
@@ -785,8 +589,6 @@ def test_disabled_overhead_within_budget(monkeypatch):
     start = time.perf_counter()
     for _ in range(reps):
         if guard.ACTIVE is not None:  # pragma: no cover
-            raise AssertionError
-        if faults.ARMED:  # pragma: no cover
             raise AssertionError
         if guard.CHECK:  # pragma: no cover
             raise AssertionError

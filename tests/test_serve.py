@@ -11,8 +11,10 @@ multi-component random graphs pins it:
   stays at zero across densest / α / profile / top-k lookups;
 * ``query_density(α)`` at segment midpoints equals a cold parametric
   ``net.solve(α)`` per component (the right-continuity convention);
-* the densest cut is served even where the breakpoint sweep's
-  tolerance merges it away (the precompute's certifying walk);
+* the densest cut is served even where the breakpoint sweep's family
+  skips it (the precompute's certifying walk), and a 40k-vertex
+  component serves every cut of its family, however small its step in
+  cut value;
 * a snapshot reloaded from the SQLite store -- in-process or from a
   fresh interpreter -- serves the same bits it was saved with, an
   EPS-mismatched row is evicted, not served, a file of an older layout
@@ -220,24 +222,24 @@ def test_precompute_rejects_a_family_that_is_not_nested(monkeypatch):
 
 
 def test_precompute_certifies_the_densest_cut_a_merged_family_skips(monkeypatch):
-    """``solve_breakpoints`` merges breakpoints whose probe lies within a
-    tolerance relative to the cut values (about m·n), so on a large
-    component its family can go from a cut straight to the empty cut
-    past the densest subgraph.  A coarse tolerance forces that merge on
-    K5 with a pendant path: the precompute's walk must splice K5 back,
-    giving the family the exact sweep finds."""
+    """A sweep whose family goes from a cut straight to the empty cut,
+    past the densest subgraph -- here K5 with a pendant path, with
+    K5's entry dropped from the family -- is repaired by the
+    precompute's certifying walk: it splices K5 back, giving the family
+    the full sweep finds."""
     from repro.flow.parametric import ParametricNetwork
 
     g = Graph([(u, v) for u in range(5) for v in range(u + 1, 5)] + [(4, 5), (5, 6), (6, 7)])
     want = Snapshot(g, 2).components[0]
     sweep = ParametricNetwork.solve_breakpoints
 
-    def coarse(self, alpha_lo, alpha_hi, tol=1e-9):
-        return sweep(self, alpha_lo, alpha_hi, tol=1.0)
+    def without_k5(self, alpha_lo, alpha_hi, tol=1e-9):
+        family = sweep(self, alpha_lo, alpha_hi, tol=tol)
+        return [(alpha, cut) for alpha, cut in family if cut != set(range(5))]
 
-    merged = coarse(build_eds_parametric(g), 0.0, 2.5)
+    merged = without_k5(build_eds_parametric(g), 0.0, 2.5)
     assert [len(cut) for _, cut in merged] == [8, 0]  # K5 is not in it
-    monkeypatch.setattr(ParametricNetwork, "solve_breakpoints", coarse)
+    monkeypatch.setattr(ParametricNetwork, "solve_breakpoints", without_k5)
     snap = Snapshot(g, 2)
     got = snap.components[0]
     assert (got.labels, got.fam_alphas, got.fam_sizes, got.fam_counts) == (
@@ -249,15 +251,18 @@ def test_precompute_certifies_the_densest_cut_a_merged_family_skips(monkeypatch)
 
 
 def test_snapshot_serves_k10_past_a_merged_breakpoint():
-    """The same merge at the real tolerance: K10, a vertex joined to four
-    of its vertices, and a 40,200-vertex two-level tree hanging off that
-    vertex.  Cut values are about m·n = 1.6e9, so the tolerance (about
-    1.6) exceeds the 0.91 by which K10 lowers the cut value at 49/11,
-    and the sweep goes from the 11-vertex cut straight to the empty
-    cut.  The snapshot still serves K10 at 4.5, as the cold walk does,
-    and stores the cut on [4, 4.5)."""
+    """K10; vertex 10 joined to four of its vertices and vertex -1 to
+    three others; a 40,200-vertex two-level tree hanging off vertex 10.
+    Cut values are about m·n = 1.6e9.  At α = 3.5, where the lines of
+    the 12-vertex cut and of K10 cross, the 11-vertex cut (K10 and
+    vertex 10, density 49/11) lies one unit below them, so a crossing
+    test with a tolerance relative to the cut value (about 1.6) takes
+    the 12-vertex cut and K10 as adjacent and serves 12 or 10 vertices
+    on [3, 4).  The exact test keeps every cut, so each segment serves
+    what a cold solve returns."""
     edges = [(u, v) for u in range(10) for v in range(u + 1, 10)]
     edges += [(10, v) for v in range(4)]
+    edges += [(-1, v) for v in range(4, 7)]
     for hub in range(11, 211):
         edges.append((10, hub))
         edges += [(hub, leaf) for leaf in range(200 * hub, 200 * hub + 200)]
@@ -267,8 +272,15 @@ def test_snapshot_serves_k10_past_a_merged_breakpoint():
     warm = snap.densest_subgraph()
     assert (warm.vertices, warm.density) == (cold.vertices, cold.density)
     assert (warm.vertices, warm.density) == (set(range(10)), 4.5)
-    assert [(len(cut.vertices), cut.density) for cut in snap.top_k(2)] == [(10, 4.5), (11, 49 / 11)]
-    assert snap.query_density(4.2).vertices == set(range(10))
+    (comp,) = snap.components
+    alphas = comp.fam_alphas
+    for lo, hi in zip(alphas, alphas[1:]):
+        mid = (lo + hi) / 2
+        assert snap.query_density(mid).vertices == build_eds_parametric(g).solve(mid), mid
+    for alpha in (3.2, 3.7):  # both sides of the merged crossing at 3.5
+        assert snap.query_density(alpha).vertices == set(range(11))
+    assert [len(cut.vertices) for cut in snap.top_k(3)] == [10, 11, 12]
+    assert snap.top_k(3)[1].density == 49 / 11
 
 
 def test_query_density_rejects_bad_alphas():
