@@ -8,7 +8,8 @@ Runs ``python3 perfbench/run.py --workload W --seed 1 --trace 0``
 unchanged and appends its result -- the last line of its standard
 output -- to ``benchmarks/out/BENCH_<W>.json``, one JSON object per
 line, together with the commit (``git rev-parse HEAD``), whether the
-working tree differed from it, the environment fingerprint
+working tree outside ``benchmarks/out/`` differed from it, the
+environment fingerprint
 (:func:`repro.obs.env_fingerprint`) and the number of CPUs the process
 may run on.  Each file is then the workload's trajectory: a change that
 claims a speed-up appends an entry for its parent and one for itself,
@@ -37,6 +38,16 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
+def _dirty() -> bool:
+    """Whether a tracked file outside ``benchmarks/out/`` differs from HEAD.
+
+    The trajectories themselves are left out: a record appends to one,
+    and a second record in the same checkout measures the same code.
+    """
+    return bool(_git("status", "--porcelain", "--untracked-files=no",
+                     "--", ".", ":(exclude)benchmarks/out"))
+
+
 def _cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -59,7 +70,7 @@ def record(workload: str) -> int:
     entry = {
         "workload": workload,
         "commit": _git("rev-parse", "HEAD"),
-        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "dirty": _dirty(),
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "command": ["python3", *command[1:]],
         "nproc": _cpus(),

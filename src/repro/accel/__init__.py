@@ -8,20 +8,21 @@ five functions of this module instead of branching locally.  Two tiers:
   in numpy from one size crossover and cut down to the arcs of shortest
   augmenting paths, the blocking flow of a large phase computed in
   batched push-and-balance rounds and the reference DFS pushing the
-  rest, and the GGT advance as an array expression.  Everything
-  sequential (the retreat drains, the peels) runs the pure loops.
-  Selected whenever numpy is importable.
+  rest; the GGT advance, and the retreat's clamp and source-arc
+  returns, as array expressions, the rest of the retreat's drain as one
+  max flow of that Dinic.  The peels run the pure loops.  Selected
+  whenever numpy is importable.
 * **python** -- :mod:`repro.accel.pure`: dependency-free reference
   implementations.  Always available; handed memoryviews of numpy
   arrays, which the loops index as fast as lists and write through.
 
 Both tiers produce bit-identical answers -- cuts, breakpoints, peel
-orders, densities.  The numpy advance performs the pure loop's IEEE
-operations in the same order, and the numpy Dinic's residual floats
-match the pure tier's where the pure DFS pushes every phase itself, on
-a subset of arcs it provably never pushes flow outside of.  Its batched
-rounds on large phases reach another maximum flow, which leaves the
-same unique minimal min cut.  The dispatch property suite
+orders, densities.  The numpy advance and retreat perform the pure
+loops' IEEE operations in the same order, and the numpy Dinic's
+residual floats match the pure tier's where the pure DFS pushes every
+phase itself, on a subset of arcs it provably never pushes flow outside
+of.  Its batched rounds on large phases reach another maximum flow,
+which leaves the same unique minimal min cut.  The dispatch property suite
 (``tests/test_accel_dispatch.py``) asserts both on the random
 network/graph matrices.
 
@@ -120,14 +121,19 @@ def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
 
 
 def ggt_retreat(head, cap, base_cap, adj_start, adj_arcs, alpha_arcs, alpha_coeff,
-                num_nodes, source, alpha):
-    """GGT decreasing-alpha clamp + excess drain (mutates ``cap``)."""
-    clamped, drain_paths = _pure(
-        pure.ggt_retreat,
-        (head, cap, base_cap, adj_start, adj_arcs, alpha_arcs, alpha_coeff,
-         num_nodes, source, alpha),
-        3,
-    )
+                alpha_src, source, sink, alpha):
+    """GGT decreasing-alpha clamp + excess drain (mutates ``cap``).
+
+    The drain's max flow runs on the tier's own Dinic, not through
+    :func:`dinic_max_flow`: the ``accel.dinic.*`` counters and
+    ``flow.solves`` count solves only.
+    """
+    args = (head, cap, base_cap, adj_start, adj_arcs, alpha_arcs, alpha_coeff,
+            alpha_src, source, sink, alpha)
+    if TIER == "numpy":
+        clamped, drain_paths = vector.ggt_retreat(*args)
+    else:
+        clamped, drain_paths = _pure(pure.ggt_retreat, args, 3)
     if obs.ENABLED:
         obs.counter("accel.ggt_retreat.calls")
         obs.counter("accel.ggt_retreat.clamped", clamped)

@@ -3,13 +3,14 @@
 Every kernel of :mod:`repro.accel` has its reference implementation
 here, written over the flat arc / incidence arrays as plain Python
 lists.  The numpy tier (:mod:`repro.accel.vector`) runs the GGT advance
-as an array expression with the same float-operation order, reuses
-:func:`dinic_blocking_flow` on each phase's shortest-path arcs (after
-batched rounds on a large phase), and runs the other loops here as they
-are -- so residual capacities, flow values, cuts, peel orders and
-densities are *bit-identical* across tiers wherever these loops push
-the flow (the dispatch property suite pins this; the numpy tier's
-rounds reach another maximum flow with the same minimal min cut).
+and the retreat's clamp as array expressions with the same
+float-operation order, reuses :func:`dinic_blocking_flow` on each
+phase's shortest-path arcs (after batched rounds on a large phase), and
+runs the peels here as they are -- so residual capacities, flow values,
+cuts, peel orders and densities are *bit-identical* across tiers
+wherever these loops push the flow (the dispatch property suite pins
+this; the numpy tier's rounds reach another maximum flow with the same
+minimal min cut).
 
 Keep that in mind when editing: any reordering of arithmetic or
 traversal here must be mirrored in :mod:`repro.accel.vector`.
@@ -138,85 +139,70 @@ def dinic_max_flow(source, sink, head, cap, adj_start, adj_arcs):
 # --------------------------------------------------------------------
 
 
-def _drain_to_source(head, cap, adj_start, adj_arcs, num_nodes, source, node, amount):
-    """Push ``amount`` units of excess from ``node`` back to the source.
-
-    Repeated residual-path search (node -> source, DFS) with path
-    augmentation; the excess always drains fully when it came from
-    clamping a feasible flow (flow decomposition guarantees the reverse
-    arcs of its paths carry enough residual).  Returns the number of
-    drain paths pushed (the telemetry work counter).
-    """
-    paths = 0
-    remaining = amount
-    while remaining > EPS:
-        parent = [-2] * num_nodes  # arc that discovered each node
-        parent[node] = -1
-        stack = [node]
-        found = False
-        while stack and not found:
-            u = stack.pop()
-            for idx in range(adj_start[u], adj_start[u + 1]):
-                arc = adj_arcs[idx]
-                w = head[arc]
-                if parent[w] == -2 and cap[arc] > EPS:
-                    parent[w] = arc
-                    if w == source:
-                        found = True
-                        break
-                    stack.append(w)
-        if not found:  # pragma: no cover - impossible for clamped max flows
-            break
-        path: list[int] = []
-        w = source
-        while w != node:
-            arc = parent[w]
-            path.append(arc)
-            w = head[arc ^ 1]
-        push = remaining
-        for arc in path:
-            if cap[arc] < push:
-                push = cap[arc]
-        for arc in path:
-            cap[arc] -= push
-            cap[arc ^ 1] += push
-        remaining -= push
-        paths += 1
-    return paths
-
-
 def ggt_retreat(
-    head, cap, base_cap, adj_start, adj_arcs, alpha_arcs, alpha_coeff,
-    num_nodes, source, alpha,
+    head, cap, base_cap, adj_start, adj_arcs, alpha_arcs, alpha_coeff, alpha_src,
+    source, sink, alpha,
 ):
     """Decreasing-alpha half of GGT over the flat arrays.
 
     Each alpha-arc whose flow exceeds its shrunken capacity is clamped
-    to saturation and the difference drained from the arc's tail back to
-    the source; arcs still under capacity just have their residual
-    recomputed.  Mutates ``cap`` in place; the state on exit is a
-    feasible warm flow at the new alpha.  Returns ``(clamped,
-    drain_paths)`` -- the telemetry work counters (tier-identical); the
-    :mod:`repro.accel` functions strip them.
+    to saturation, and the difference becomes an excess at its tail;
+    arcs still under capacity just have their residual recomputed.  An
+    excess above EPS drains back to the source in two steps:
+
+    1. through the tail's own source arc (``alpha_src[i]``, -1 when
+       unknown): ``min(excess, residual)`` when that arc's reverse has a
+       residual above EPS -- a one-arc path, found without a search;
+    2. whatever is left, in one :func:`dinic_max_flow` from the sink to
+       the source.  For its duration each clamped arc's reverse
+       (``t -> v``) gets the excess left at ``v`` as its residual and
+       every other residual arc out of the sink is zeroed; afterwards
+       the sink's arcs, both directions, get their residuals back.  So
+       the sink sends out exactly the excess, and Dinic drains it from
+       each ``v`` over the reverse arcs of the flow that reached ``v``:
+       flow decomposition guarantees their residual, and no path passes
+       through the sink, which sends no other flow.
+
+    Mutates ``cap`` in place; the state on exit is a feasible warm flow
+    at the new alpha.  Returns ``(clamped, drain_paths)``, the telemetry
+    work counters: the one-arc returns plus the max flow's augmenting
+    paths.  The :mod:`repro.accel` functions strip them.
     """
-    excess: list[tuple[int, float]] = []
+    clamped = drain_paths = 0
+    excess: list[tuple[int, float]] = []  # (t -> v arc, excess left at v)
     for i in range(len(alpha_arcs)):
         a = alpha_arcs[i]
-        c = alpha_coeff[i]
-        new_cap = base_cap[a] + c * alpha
+        new_cap = base_cap[a] + alpha_coeff[i] * alpha
         flow = cap[a ^ 1] - base_cap[a ^ 1]
-        if flow > new_cap:
-            cap[a] = 0.0
-            cap[a ^ 1] = base_cap[a ^ 1] + new_cap
-            excess.append((head[a ^ 1], flow - new_cap))
-        else:
+        if flow <= new_cap:
             cap[a] = new_cap - flow
-    drain_paths = 0
-    for node, amount in excess:
-        drain_paths += _drain_to_source(
-            head, cap, adj_start, adj_arcs, num_nodes, source, node, amount
-        )
-    return len(excess), drain_paths
+            continue
+        cap[a] = 0.0
+        cap[a ^ 1] = base_cap[a ^ 1] + new_cap
+        clamped += 1
+        left = flow - new_cap
+        src = alpha_src[i]
+        back = cap[src ^ 1] if src >= 0 else 0.0
+        if left > EPS and back > EPS:
+            push = left if left <= back else back
+            cap[src ^ 1] = back - push
+            cap[src] += push
+            left -= push
+            drain_paths += 1
+        if left > EPS:
+            excess.append((a ^ 1, left))
+    if excess:
+        out = [adj_arcs[i] for i in range(adj_start[sink], adj_start[sink + 1])]
+        saved = [(cap[a], cap[a ^ 1]) for a in out]
+        for a in out:
+            cap[a] = 0.0
+        for a, left in excess:
+            cap[a] = left
+        drain_paths += dinic_max_flow(sink, source, head, cap, adj_start, adj_arcs)[2]
+        for a, (residual, reverse) in zip(out, saved):
+            cap[a] = residual
+            cap[a ^ 1] = reverse
+    return clamped, drain_paths
 
 
 def ggt_advance(cap, base_cap, alpha_arcs, alpha_coeff, alpha):

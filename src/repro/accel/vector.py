@@ -19,10 +19,14 @@ arrays in numpy from construction to cut extraction
   of the arrays, which is faster there.
 * :func:`ggt_advance` -- the increasing-α capacity refresh as one
   array expression.
+* :func:`ggt_retreat` -- the decreasing-α clamp and each vertex's
+  return through its own source arc as array expressions, and the
+  excess left over drained in one :func:`dinic_max_flow` from the sink
+  to the source.
 
-The sequential loops with no useful numpy formulation (the GGT retreat
-drains, the peels) stay on the pure tier, which :mod:`repro.accel`
-hands memoryviews of the arrays (:func:`on_views`).
+The peels, sequential loops with no useful numpy formulation, stay on
+the pure tier, which :mod:`repro.accel` hands memoryviews of the arrays
+(:func:`on_views`).
 
 **The rounds** are Karzanov's preflow method (1974), one level of the
 compacted network per array expression.  A round sweeps the levels
@@ -353,3 +357,42 @@ def ggt_advance(cap, base_cap, alpha_arcs, alpha_coeff, alpha):
     rev = alpha_arcs ^ 1
     flow = cap[rev] - base_cap[rev]
     cap[alpha_arcs] = base_cap[alpha_arcs] + alpha_coeff * alpha - flow
+
+
+def ggt_retreat(head, cap, base_cap, adj_start, adj_arcs, alpha_arcs, alpha_coeff, alpha_src,
+                source, sink, alpha):
+    """Decreasing-α half of GGT: :func:`repro.accel.pure.ggt_retreat`
+    in array expressions, its drain max flow run by :func:`dinic_max_flow`.
+
+    The clamp performs the pure loop's IEEE operations per α-arc, and
+    each vertex's source-arc return is ``min(excess, residual)`` as
+    there.  No two α-arcs, and no two source arcs, are one arc, so
+    the elementwise forms read and write exactly what the loop does.
+    """
+    rev = alpha_arcs ^ 1
+    new_cap = base_cap[alpha_arcs] + alpha_coeff * alpha
+    flow = cap[rev] - base_cap[rev]
+    over = flow > new_cap
+    cap[alpha_arcs] = np.where(over, 0.0, new_cap - flow)
+    rev, new_cap, src = rev[over], new_cap[over], alpha_src[over]
+    cap[rev] = base_cap[rev] + new_cap
+    left = flow[over] - new_cap
+    back = np.zeros_like(left)
+    paired = src >= 0
+    back[paired] = cap[src[paired] ^ 1]
+    returns = (left > EPS) & (back > EPS)
+    src, push = src[returns], np.minimum(left[returns], back[returns])
+    cap[src ^ 1] = back[returns] - push
+    cap[src] += push
+    left[returns] -= push
+    drain_paths = int(np.count_nonzero(returns))
+    drain = left > EPS
+    if drain.any():
+        out = adj_arcs[adj_start[sink] : adj_start[sink + 1]]
+        residual, reverse = cap[out], cap[out ^ 1]
+        cap[out] = 0.0
+        cap[rev[drain]] = left[drain]
+        drain_paths += dinic_max_flow(sink, source, head, cap, adj_start, adj_arcs)[2]
+        cap[out] = residual
+        cap[out ^ 1] = reverse
+    return int(np.count_nonzero(over)), drain_paths

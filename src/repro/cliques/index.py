@@ -19,7 +19,7 @@ single cacheable artifact built once per ``(graph, h)``:
   exactly its incidence range -- no dict scans.
 * ``base_degree`` -- clique-degrees (Definition 3) by internal id,
   immutable; the mutable ``alive`` layer on top serves the peeling
-  algorithms (Algorithm 3 and PeelApp) and can be :meth:`reset`.
+  algorithms (Algorithm 3 and PeelApp).
 
 The instance and incidence arrays are never mutated, so one index can
 serve a core decomposition, a peel, and the flow builders of the same
@@ -366,29 +366,6 @@ class CliqueIndex:
                 for k in range(i * h, i * h + h):
                     live[flat[k]] += 1
         return {v: live[i] for i, v in enumerate(self.vertices)}
-
-    def peel_vertex_ids(self, vid: int) -> list[int]:
-        """Kill every live instance containing internal vertex ``vid``.
-
-        Returns the flat member ids of the killed instances (``h`` ids
-        per instance, ``vid`` included); the caller decrements surviving
-        co-members' degrees from it.  O(incidence of ``vid``).
-        """
-        alive = self.alive
-        flat, h = self.inst, self.h
-        out: list[int] = []
-        for pos in range(self.inc_start[vid], self.inc_start[vid + 1]):
-            iid = self.inc_ids[pos]
-            if alive[iid]:
-                alive[iid] = False
-                self.num_alive -= 1
-                out.extend(flat[iid * h : iid * h + h])
-        return out
-
-    def reset(self) -> None:
-        """Revive every instance (undo all peeling) in O(m)."""
-        self.alive = bytearray(b"\x01") * self.m
-        self.num_alive = self.m
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

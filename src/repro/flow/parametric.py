@@ -19,9 +19,11 @@ with Dinic from the cheapest valid starting flow:
 * **retreat** -- the requested α is below the α of the current residual
   state.  Sink capacities shrink, so the flow on some ``v → t`` arcs may
   exceed the new capacity; each such arc is clamped and the excess is
-  drained back to the source along flow-carrying residual paths (the
-  decreasing-α half of Gallo–Grigoriadis–Tarjan).  The result is a
-  feasible warm flow the solver only needs to augment.
+  drained back to the source (the decreasing-α half of
+  Gallo–Grigoriadis–Tarjan): through ``v``'s own ``s → v`` arc as far
+  as it carries flow, the rest in one max flow from the sink to the
+  source.  The result is a feasible warm flow the solver only needs to
+  augment.
 * **cold reset** -- otherwise, capacities are recomputed from
   ``base + coeff·α`` and the flow starts from zero (bit-equal to a
   fresh build at that α).
@@ -119,7 +121,8 @@ class ParametricNetwork:
         self.sink = sink
         # alpha_src[i]: arc id of the paired (finite) s -> v arc of the
         # vertex whose sink arc is alpha_arcs[i], or -1 when unknown --
-        # enables the pass-through cancellation on cold solves.
+        # enables the pass-through cancellation on cold solves and the
+        # retreat's one-arc returns.
         if alpha_src is None:
             alpha_src = [-1] * len(alpha_arcs)
         if np is not None:
@@ -237,19 +240,22 @@ class ParametricNetwork:
 
         The decreasing-α half of GGT.  Each α-arc whose flow exceeds its
         shrunken capacity is clamped to saturation; the difference
-        becomes an excess at the arc's tail vertex and is drained back to
-        the source through residual paths.  Flow decomposition
-        guarantees the drain succeeds: every unit that reached ``v``
-        came from the source, so the reverse arcs of its path carry
-        enough residual.  The state on exit is a *feasible* (not yet
-        maximum) flow of the plain network at the new α; the solver's
-        next run augments it to a max flow.
+        becomes an excess at the arc's tail vertex ``v``.  It goes back
+        through ``v``'s paired source arc (``alpha_src``) as far as that
+        arc carries flow, and the rest in one max flow of the tier's
+        Dinic from the sink, which sends out exactly the excess, to the
+        source (:func:`repro.accel.pure.ggt_retreat`).  Flow
+        decomposition guarantees the drain succeeds: every unit that
+        reached ``v`` came from the source, so the reverse arcs of its
+        paths carry enough residual.  The state on exit is a *feasible*
+        (not yet maximum) flow of the plain network at the new α; the
+        solver's next run augments it to a max flow.
         """
         if self._canceled:
             self._uncancel()
         accel.ggt_retreat(
             self.head, self.cap, self.base_cap, self.adj_start, self.adj_arcs,
-            self.alpha_arcs, self.alpha_coeff, self.num_nodes, self.source, alpha,
+            self.alpha_arcs, self.alpha_coeff, self.alpha_src, self.source, self.sink, alpha,
         )
         self._alpha = alpha
 

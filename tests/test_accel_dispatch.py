@@ -105,15 +105,18 @@ class TestSelection:
         on every tier: a two-node network, one 2-clique instance."""
         for tier in TIERS:
             assert accel.select_tier(tier) == tier
-            arrays = [[1, 0], [0, 1, 2], [0, 1]]  # head, adj_start, adj_arcs
+            # head, adj_start, adj_arcs, and alpha_src: no paired source arc
+            arrays = [[1, 0], [0, 1, 2], [0, 1], [-1]]
             if accel.np is not None:
                 arrays = [accel.np.asarray(a, dtype=accel.np.int64) for a in arrays]
-            head, adj_start, adj_arcs = arrays
+            head, adj_start, adj_arcs, alpha_src = arrays
             f8 = accel.np.asarray if accel.np is not None else list
             cap = f8([1.0, 0.0])
             assert accel.dinic_max_flow(0, 1, head, cap, adj_start, adj_arcs) == 1.0
             base, coeff, alpha_arcs = f8([0.0, 0.0]), f8([1.0]), head[1:]  # the s-t arc
-            accel.ggt_retreat(head, cap, base, adj_start, adj_arcs, alpha_arcs, coeff, 2, 0, 0.25)
+            # the excess drains in the max flow from the sink
+            accel.ggt_retreat(head, cap, base, adj_start, adj_arcs, alpha_arcs, coeff,
+                              alpha_src, 0, 1, 0.25)
             assert list(cap) == [0.0, 0.25]  # the s-t arc clamped to its new capacity
             accel.ggt_advance(cap, base, alpha_arcs, coeff, 0.75)
             assert list(cap) == [0.5, 0.25]

@@ -11,6 +11,7 @@ from repro.cliques.enumeration import (
     count_cliques,
     enumerate_cliques,
 )
+from repro.core.peel import min_degree_peel
 from repro.graph.graph import Graph, complete_graph, cycle_graph, star_graph
 
 from .conftest import random_graph, to_networkx
@@ -100,24 +101,39 @@ class TestCliqueIndex:
         index = CliqueIndex(g, 3)
         assert index.degrees() == clique_degrees(g, 3)
 
+    # the alive layer, as the min-degree peel drives it
+
     def test_peel_kills_instances(self):
         g = complete_graph(4)
         index = CliqueIndex(g, 3)
         assert index.num_alive == 4
-        killed = index.peel_vertex_ids(index.id_of(0))
-        assert len(killed) == 3 * 3  # triangles through vertex 0, 3 ids each
-        assert index.num_alive == 1
+        removed, _, num_alive = next(min_degree_peel(g, index))
+        assert removed == 0  # every degree ties: the first vertex goes first
+        assert num_alive == index.num_alive == sum(index.alive) == 1
 
     def test_peel_is_idempotent_per_instance(self):
-        g = complete_graph(4)
+        """Each instance dies once, with its first removed member: a
+        removal kills exactly the live instances through it."""
+        g = random_graph(14, 40, seed=6)
         index = CliqueIndex(g, 3)
-        index.peel_vertex_ids(index.id_of(0))
-        assert index.peel_vertex_ids(index.id_of(0)) == []
+        assert index.m
+        gone: set = set()
+        prev = index.num_alive
+        for removed, _, num_alive in min_degree_peel(g, index):
+            through = {
+                i for i in range(index.m)
+                if removed in index.instance(i) and not gone & set(index.instance(i))
+            }
+            assert prev - num_alive == len(through)
+            assert not any(index.alive[i] for i in through)
+            gone.add(removed)
+            prev = num_alive
+        assert sum(index.alive) == index.num_alive == prev
 
     def test_live_instances_shrink(self):
         g = complete_graph(5)
         index = CliqueIndex(g, 3)
-        index.peel_vertex_ids(index.id_of(0))
+        next(min_degree_peel(g, index))
         live = [index.instance(i) for i in range(index.m) if index.alive[i]]
         assert len(live) == index.num_alive == math.comb(4, 3)
         assert all(0 not in inst for inst in live)

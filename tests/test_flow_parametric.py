@@ -20,6 +20,8 @@ import random
 
 import pytest
 
+from repro import accel, guard
+from repro.accel import pure
 from repro.cliques.index import CliqueIndex
 from repro.core.core_exact import core_exact_densest
 from repro.core.exact import exact_densest
@@ -30,6 +32,7 @@ from repro.flow.builders import (
     build_eds_parametric,
     build_pds_parametric,
 )
+from repro.flow.parametric import ParametricNetwork
 from repro.patterns.pattern import get_pattern
 
 from .conftest import random_graph
@@ -183,6 +186,98 @@ class TestRetreatDrain:
         net.solve(alpha_lo)
         assert _net_outflow(net)[net.source] == pytest.approx(value, rel=1e-9, abs=1e-6)
         assert net.min_cut_source_side() == _node_ids(net, side)
+
+
+def _record_dinic_calls(monkeypatch) -> list:
+    """Record ``(source, sink)`` of every call of either tier's Dinic.
+
+    The retreat's drain calls its tier's Dinic directly, from the
+    network's sink to its source; solves go through the same functions.
+    """
+    calls = []
+
+    def wrap(fn):
+        def recorded(source, sink, *arrays):
+            calls.append((source, sink))
+            return fn(source, sink, *arrays)
+
+        return recorded
+
+    monkeypatch.setattr(pure, "dinic_max_flow", wrap(pure.dinic_max_flow))
+    if accel.np is not None:
+        monkeypatch.setattr(accel.vector, "dinic_max_flow", wrap(accel.vector.dinic_max_flow))
+    return calls
+
+
+def _unpaired_eds(g) -> ParametricNetwork:
+    """``g``'s EDS network without its paired source arcs (``alpha_src``
+    all -1): every excess of a retreat drains in the max flow."""
+    net = build_eds_parametric(g)
+    return ParametricNetwork(
+        net.num_nodes, net.source, net.sink, net.head, net.base_cap,
+        net.alpha_arcs, net.alpha_coeff, net.vertex_labels,
+    )
+
+
+def _cds_h3(g) -> ParametricNetwork:
+    return build_cds_parametric(g, 3)
+
+
+class TestRetreatMaxFlowDrain:
+    """Retreats in which a clamped vertex's own source arc carries less
+    than its excess, so the rest drains in the max flow from the sink:
+    the EDS network built without ``alpha_src``, and the CDS h = 3
+    network, whose vertices also take flow from the ψ nodes."""
+
+    @staticmethod
+    def _walk(g, seed) -> list:
+        """Alternately high and low α: every other solve retreats."""
+        rng = random.Random(seed)
+        high = max(CliqueIndex(g, 3).base_degree) / 3.0
+        alphas = []
+        for _ in range(5):
+            alphas += [rng.uniform(0.5, 1.0) * high, rng.uniform(0.0, 0.45) * high]
+        return alphas
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("build", [_unpaired_eds, _cds_h3])
+    def test_cuts_match_a_fresh_build(self, build, seed, monkeypatch):
+        monkeypatch.setattr(guard, "CHECK", True)  # audit every solve
+        calls = _record_dinic_calls(monkeypatch)
+        g = random_graph(18, 55, seed + 1200)
+        net = build(g)
+        for alpha in self._walk(g, seed):
+            assert net.solve(alpha) == build(g).solve(alpha), alpha
+        assert (net.sink, net.source) in calls  # the max-flow drain ran
+
+    @pytest.mark.skipif(accel.np is None, reason="the numpy tier needs numpy")
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("build", [_unpaired_eds, _cds_h3])
+    def test_tiers_leave_equal_residuals(self, build, seed, monkeypatch):
+        """With the numpy planner forced on and its rounds off, both
+        tiers leave the same residual floats after every retreat and
+        every solve."""
+        monkeypatch.setattr(accel.vector, "PLAN_MIN_ARCS", 0)
+        monkeypatch.setattr(accel.vector, "ROUNDS_MIN_ARCS", 1 << 62)
+        calls = _record_dinic_calls(monkeypatch)
+        g = random_graph(18, 55, seed + 1300)
+        alphas = self._walk(g, seed)
+        traces = {}
+        try:
+            for tier in ("python", "numpy"):
+                accel.select_tier(tier)
+                net = build(g)
+                trace = traces[tier] = []
+                for hi, lo in zip(alphas[::2], alphas[1::2]):
+                    net.solve(hi)
+                    net._retreat_alpha(lo)
+                    trace.append(net.cap.tolist())
+                    net.solve(lo)
+                    trace.append(net.cap.tolist())
+        finally:
+            accel.select_tier(None)
+        assert traces["numpy"] == traces["python"]
+        assert (net.sink, net.source) in calls
 
 
 class TestParametricMatchesFreshBuild:

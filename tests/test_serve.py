@@ -38,6 +38,7 @@ import pytest
 
 from repro import api, guard, obs, serve
 from repro.cliques.index import CliqueIndex
+from repro.datasets.registry import load
 from repro.flow.builders import build_cds_parametric, build_eds_parametric
 from repro.graph.graph import Graph
 from repro.serve import ArtifactCache, Snapshot, SnapshotStore
@@ -281,6 +282,26 @@ def test_snapshot_serves_k10_past_a_merged_breakpoint():
         assert snap.query_density(alpha).vertices == set(range(11))
     assert [len(cut.vertices) for cut in snap.top_k(3)] == [10, 11, 12]
     assert snap.top_k(3)[1].density == 49 / 11
+
+
+def test_snapshot_serves_yeast_h3_past_multi_path_drains(monkeypatch):
+    """Yeast (scale 1.0) at h = 3: some retreats of the precompute's
+    sweep leave a vertex more excess than its own source arc carries, so
+    the drain's max flow from the sink runs.  Every stored segment's
+    midpoint serves what a cold solve of the whole graph returns."""
+    # imported here: a subprocess below imports this module top-level
+    from .test_flow_parametric import _record_dinic_calls
+
+    g = load("Yeast", 1.0)
+    calls = _record_dinic_calls(monkeypatch)
+    snap = Snapshot(g, 3)
+    # the builders number the sink right after the source, so a drain,
+    # from the sink to the source, is a call whose source is the larger id
+    assert any(source > sink for source, sink in calls)
+    index = CliqueIndex(g, 3)
+    for mid in _midpoints(snap):
+        cold = build_cds_parametric(g, 3, index=index).solve(mid)
+        assert snap.query_density(mid).vertices == cold, mid
 
 
 def test_query_density_rejects_bad_alphas():
